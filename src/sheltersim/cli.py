@@ -8,11 +8,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
+import platform
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .experiment import (
@@ -186,6 +190,11 @@ def write_sweep_csv(fh, parameter: str, results: list[tuple[int, ScenarioSummary
             writer.writerow(row)
 
 
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def write_manifest(out_path: str, command: str, config: ScenarioConfig) -> str:
     manifest_path = out_path + ".manifest.json"
     manifest = {
@@ -197,6 +206,9 @@ def write_manifest(out_path: str, command: str, config: ScenarioConfig) -> str:
         "replications": config.replications,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [os.path.abspath(out_path)],
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "output_sha256": {os.path.abspath(out_path): _file_sha256(out_path)},
     }
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)

@@ -12,7 +12,8 @@ their departure time, when all held units are released at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 
@@ -79,7 +80,9 @@ class ServiceSpec:
     appt_max: int
 
     def validation_errors(self, path: str = "") -> list[str]:
-        errors = []
+        errors = nonfinite_errors(self, path)
+        if errors:
+            return errors
         if not self.name:
             errors.append(f"{path}name: must be non-empty")
         if self.capacity_units < 0 or int(self.capacity_units) != self.capacity_units:
@@ -96,6 +99,15 @@ class ServiceSpec:
                 f"{self.capacity_units} (requests could never be satisfied)"
             )
         return errors
+
+
+def nonfinite_errors(spec, path: str = "") -> list[str]:
+    """One message per float field of a dataclass that holds NaN or an
+    infinity. Later range checks can then assume finite numbers."""
+    return [f"{path}{f.name}: must be a finite number, got {value}"
+            for f in fields(spec)
+            if isinstance(value := getattr(spec, f.name), float)
+            and not math.isfinite(value)]
 
 
 def default_services() -> list[ServiceSpec]:

@@ -2,12 +2,20 @@
 manifest output, overrides, sweep value parsing, and exit codes."""
 
 import csv
+import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sheltersim.cli import main, parse_values
 from sheltersim.experiment import ConfigError, ScenarioConfig
+from support import mini_config
 
 FAST_OVERRIDES = [
     "--set", "annual_arrivals=200",
@@ -83,6 +91,10 @@ def test_simulate_writes_csv_and_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "results.csv.manifest.json").read_text())
     assert manifest["master_seed"] == 9
     assert manifest["outputs"] == [str(out)]
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["output_sha256"] == {
+        str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
     table = capsys.readouterr().out
     assert "crisis_beds" in table and "Reneged" in table
 
@@ -185,3 +197,54 @@ def test_invalid_json_config_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert run_cli("validate", "--config", str(path)) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_nan_in_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"annual_arrivals": NaN}')
+    assert run_cli("validate", "--config", str(path)) == 2
+    out = tmp_path / "results.csv"
+    assert run_cli("simulate", "--config", str(path), "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error: annual_arrivals: must be a finite number, got nan" in err
+
+
+def test_nan_set_override_exits_2_without_outputs(tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    code = run_cli("simulate", "--out", str(out), *FAST_OVERRIDES,
+                   "--set", "warmup_days=NaN")
+    assert code == 2
+    assert not out.exists()
+    assert not (tmp_path / "results.csv.manifest.json").exists()
+    assert "config error: warmup_days: must be a finite number" in capsys.readouterr().err
+
+
+def test_jobs_below_one_exits_2(tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    assert run_cli("simulate", "--out", str(out), "--jobs", "0", *FAST_OVERRIDES) == 2
+    assert run_cli("sweep", "--param", "bed_capacity", "--values", "8,10",
+                   "--out", str(out), "--jobs", "-1", *FAST_OVERRIDES) == 2
+    assert not out.exists()
+    assert "config error: jobs: must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_run_never_imports_scipy(tmp_path):
+    # A fresh interpreter, so modules imported by other tests do not count.
+    config = tmp_path / "mini.json"
+    config.write_text(json.dumps(mini_config().to_dict()))
+    script = (
+        "import sys\n"
+        "import sheltersim.cli as cli\n"
+        f"code = cli.main(['simulate', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out.csv')!r}, '--reps', '2'])\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

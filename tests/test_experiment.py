@@ -1,7 +1,10 @@
 """Experiment harness tests: replication determinism, warm-up behavior,
 summary math, config handling, and common-random-number coupling."""
 
+import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from sheltersim.experiment import (
     summarize,
     sweep,
     t_halfwidth,
+    t_quantile,
+    worker_count,
 )
 from support import mini_config
 
@@ -95,6 +100,30 @@ def test_t_halfwidth_known_value():
     assert t_halfwidth([2.0, 2.0, 2.0]) == 0.0
 
 
+def test_t_quantile_matches_scipy_fixture():
+    # Reference quantiles from scipy.special.stdtrit, kept as a fixture so the
+    # package itself needs no scipy.
+    path = Path(__file__).parent / "fixtures" / "t_quantiles.json"
+    fixture = json.loads(path.read_text(encoding="utf-8"))
+    assert [row[0] for row in fixture["rows"][:200]] == list(range(1, 201))
+    assert fixture["rows"][-1][0] == 10 ** 7
+    for df, *expected in fixture["rows"]:
+        for p, reference in zip(fixture["p"], expected):
+            assert t_quantile(p, df) == pytest.approx(reference, rel=1e-12, abs=0.0), (p, df)
+
+
+def test_t_quantile_closed_forms_and_domain():
+    # df = 1 is the Cauchy distribution and df = 2 has a closed form.
+    for p in (0.6, 0.9, 0.999):
+        assert t_quantile(p, 1) == pytest.approx(math.tan(math.pi * (p - 0.5)), rel=1e-13)
+        assert t_quantile(p, 2) == pytest.approx(
+            (2 * p - 1) / math.sqrt(2 * p * (1 - p)), rel=1e-13)
+    assert t_quantile(0.5, 7) == 0.0
+    for p, df in ((0.4, 5), (1.0, 5), (0.9, 0)):
+        with pytest.raises(ValueError):
+            t_quantile(p, df)
+
+
 def test_warmup_loads_the_system():
     cold = mini_config(warmup_days=0.0, replications=3)
     warm = mini_config(warmup_days=365.25, replications=3)
@@ -164,6 +193,19 @@ def test_parallel_jobs_match_serial():
     assert run_scenario(cfg, jobs=2) == run_scenario(cfg, jobs=1)
 
 
+def test_worker_count_is_bounded_by_tasks_and_cpus():
+    assert worker_count(1, 100, 8) == 1
+    assert worker_count(4, 100, 8) == 4
+    assert worker_count(4, 2, 8) == 2
+    assert worker_count(64, 100, 2) == 2
+    assert worker_count(10 ** 6, 100, 8) == 8
+    assert worker_count(2, 2, 2) == 2
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError) as excinfo:
+            worker_count(jobs, 100, 8)
+        assert "jobs" in str(excinfo.value)
+
+
 def test_summarize_empty_reps_is_safe():
     summary = summarize(mini_config(), [])
     assert summary.resources == {}
@@ -205,6 +247,23 @@ def test_config_validation_reports_field_paths():
     services[2] = replace(services[2], appt_max=50)
     errors = ScenarioConfig(services=tuple(services)).validation_errors()
     assert any("appt_max" in e and "services[2]" in e for e in errors)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["annual_arrivals", "bsy_fraction", "age_16_20_fraction",
+                                  "renege_exit_prob", "warmup_days", "stats_window_days",
+                                  "bed_capacity"])
+def test_config_rejects_non_finite_numbers(name, value):
+    errors = replace(ScenarioConfig(), **{name: value}).validation_errors()
+    assert errors == [f"{name}: must be a finite number, got {value}"]
+
+
+def test_service_rejects_non_finite_numbers():
+    services = list(ScenarioConfig().services)
+    services[1] = replace(services[1], capacity_units=math.nan, request_prob=math.inf)
+    errors = ScenarioConfig(services=tuple(services)).validation_errors()
+    assert errors == ["services[1].capacity_units: must be a finite number, got nan",
+                      "services[1].request_prob: must be a finite number, got inf"]
 
 
 def test_config_rejects_non_integer_capacity():

@@ -1,0 +1,66 @@
+"""Golden digests: pin the bytes of a small fixed-seed simulate CSV and sweep
+CSV, and the first draws of every named stream.
+
+These back the claim that identical config and seed give identical results on
+any platform. numpy does not promise that ``Generator`` streams stay the same
+across its releases (NEP 19), so a mismatch after a numpy upgrade means the
+streams moved, not necessarily that sheltersim did.
+"""
+
+import hashlib
+import io
+
+import numpy as np
+
+from sheltersim.cli import write_scenario_csv, write_sweep_csv
+from sheltersim.experiment import STREAM_NAMES, run_scenario, sweep
+from sheltersim.streams import RngStream
+from support import mini_config
+
+DIGESTS_NUMPY = "2.4.6"
+
+SIMULATE_SHA256 = "9246b0ac11d13d4ac7efc58e753784f2c308825a07bfcd58cd9f5721878241b1"
+SWEEP_SHA256 = "4dd7ed31db20d8481a09d150bd090744675eae924de3012651ce16c57845a554"
+
+# First five draws of each stream for (master seed 777, replication 0).
+FIRST_DRAWS = {
+    "arrivals": [0.06881039915962228, 0.6470655048450261, 0.961131642764606,
+                 0.37517968442063787, 0.44483043372997033],
+    "attributes": [0.026457840247081865, 0.6865111614349814, 0.1437064171681064,
+                   0.0037643368045224834, 0.6217242541924518],
+    "needs": [0.8846280898752669, 0.522025935464025, 0.593268083757616,
+              0.2131066928565094, 0.9451761427435854],
+    "redraw": [0.22750900245981642, 0.964137699124992, 0.9537143706927561,
+               0.2846598006129103, 0.08130626035083999],
+}
+
+
+def _provenance(what: str) -> str:
+    return (f"{what} differs from the golden value taken with numpy "
+            f"{DIGESTS_NUMPY}; this run uses numpy {np.__version__} "
+            "(NEP 19 lets Generator streams change between numpy releases)")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_simulate_csv_digest():
+    buf = io.StringIO()
+    write_scenario_csv(buf, run_scenario(mini_config(replications=3)))
+    assert _sha256(buf.getvalue()) == SIMULATE_SHA256, _provenance("simulate CSV")
+
+
+def test_sweep_csv_digest():
+    buf = io.StringIO()
+    results = sweep(mini_config(replications=3), "bed_capacity", [6, 10])
+    write_sweep_csv(buf, "bed_capacity", results)
+    assert _sha256(buf.getvalue()) == SWEEP_SHA256, _provenance("sweep CSV")
+
+
+def test_first_draws_of_every_stream():
+    assert set(FIRST_DRAWS) == set(STREAM_NAMES)
+    for name in STREAM_NAMES:
+        stream = RngStream(777, 0, name)
+        draws = [stream.uniform() for _ in range(5)]
+        assert draws == FIRST_DRAWS[name], _provenance(f"stream {name!r}")
