@@ -271,10 +271,6 @@ def cmd_sweep(args) -> int:
     try:
         results = sweep(config, args.param, values, jobs=args.jobs)
         write_sweep_csv(fh, args.param, results)
-    except ValueError as exc:
-        fh.close()
-        os.unlink(args.out)
-        raise ConfigError([str(exc)])
     except BaseException:
         fh.close()
         os.unlink(args.out)

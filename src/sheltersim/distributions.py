@@ -51,12 +51,11 @@ def sample_triangular(p: TriangularParams, u: float) -> float:
     """Inverse-CDF draw from a triangular distribution. Requires 0 <= u < 1."""
     span = p.high - p.low
     cut = (p.mode - p.low) / span
+    # Rounding can carry x across the mode (or, at the ends, the support);
+    # keeping each branch on its own side of the mode keeps x monotone in u.
     if u < cut:
-        x = p.low + math.sqrt(u * span * (p.mode - p.low))
-    else:
-        x = p.high - math.sqrt((1.0 - u) * span * (p.high - p.mode))
-    # Guard against float rounding drifting just outside the support.
-    return min(max(x, p.low), p.high)
+        return min(p.low + math.sqrt(u * span * (p.mode - p.low)), p.mode)
+    return max(p.high - math.sqrt((1.0 - u) * span * (p.high - p.mode)), p.mode)
 
 
 def sample_exponential(p: ExponentialParams, u: float) -> float:

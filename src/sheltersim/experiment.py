@@ -4,9 +4,15 @@ and one-parameter capacity sweeps under common random numbers.
 A scenario is one shelter configuration. Each replication builds a fresh
 kernel, seeds its streams from (master seed, replication index, stream name),
 runs warm-up plus one statistics window, and reports window statistics.
+Its arrivals and youth attributes are drawn up front into a population
+(``model.Population``) that depends on neither capacity nor contention.
+
 Sweeps rerun the same scenario with one capacity changed and the master seed
 fixed, so arrival epochs and youth attributes are identical across swept
-values and only contention differs.
+values and only contention differs. A sweep validates every swept config
+first, then runs all (value, replication) pairs as one grid, replication
+by replication, on a single worker pool. Each process keeps the last
+population it drew, so the values of one replication share a single draw.
 """
 
 from __future__ import annotations
@@ -18,14 +24,25 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import repeat
 
 from .kernel import Simulator
-from .model import ServiceSpec, ShelterModel, default_services, nonfinite_errors
+from .model import (
+    DAYS_PER_YEAR,
+    Population,
+    ServiceSpec,
+    ShelterModel,
+    default_services,
+    draw_population,
+    nonfinite_errors,
+)
 from .streams import RngStream
 
 # Streams a replication may consume, in no particular order.
 STREAM_NAMES = ("arrivals", "attributes", "needs", "redraw")
+
+# Bound on one replication's work (and its population's memory): baseline
+# replications expect about 2.8k arrivals.
+MAX_EXPECTED_ARRIVALS = 1e6
 
 FLOW_FIELDS = (
     "arrivals", "arrivals_bed_seeking", "arrivals_service_only",
@@ -90,6 +107,13 @@ class ScenarioConfig:
             errors.append("warmup_days: must be >= 0")
         if not self.stats_window_days > 0:
             errors.append("stats_window_days: must be > 0")
+        horizon = self.warmup_days + self.stats_window_days
+        expected = self.annual_arrivals * horizon / DAYS_PER_YEAR
+        if expected > MAX_EXPECTED_ARRIVALS:
+            errors.append(
+                f"annual_arrivals x (warmup_days + stats_window_days) / {DAYS_PER_YEAR}: "
+                f"{expected:.6g} expected arrivals per replication, above the limit "
+                f"of {MAX_EXPECTED_ARRIVALS:,.0f}")
         if self.replications < 1:
             errors.append("replications: must be >= 1")
         if not 0 <= self.master_seed < 2 ** 64:
@@ -151,19 +175,17 @@ class ScenarioConfig:
                     if extra:
                         errors.extend(f"services[{i}].{k}: unknown field" for k in extra)
                         continue
-                    try:
-                        specs.append(ServiceSpec(
-                            name=str(item.get("name", "")),
-                            capacity_units=_as_int(item.get("capacity_units", 0),
-                                                   f"services[{i}].capacity_units", errors),
-                            request_prob=float(item.get("request_prob", 0.0)),
-                            appt_min=_as_int(item.get("appt_min", 1),
-                                             f"services[{i}].appt_min", errors),
-                            appt_max=_as_int(item.get("appt_max", 1),
-                                             f"services[{i}].appt_max", errors),
-                        ))
-                    except (TypeError, ValueError):
-                        errors.append(f"services[{i}]: malformed service entry")
+                    specs.append(ServiceSpec(
+                        name=str(item.get("name", "")),
+                        capacity_units=_as_int(item.get("capacity_units", 0),
+                                               f"services[{i}].capacity_units", errors),
+                        request_prob=_as_float(item.get("request_prob", 0.0),
+                                               f"services[{i}].request_prob", errors),
+                        appt_min=_as_int(item.get("appt_min", 1),
+                                         f"services[{i}].appt_min", errors),
+                        appt_max=_as_int(item.get("appt_max", 1),
+                                         f"services[{i}].appt_max", errors),
+                    ))
                 kwargs["services"] = tuple(specs)
             elif key in ("bed_capacity", "replications", "master_seed"):
                 kwargs[key] = _as_int(value, key, errors)
@@ -173,10 +195,7 @@ class ScenarioConfig:
                 else:
                     kwargs[key] = value
             else:
-                try:
-                    kwargs[key] = float(value)
-                except (TypeError, ValueError):
-                    errors.append(f"{key}: must be a number")
+                kwargs[key] = _as_float(value, key, errors)
         if errors:
             raise ConfigError(errors)
         return cls(**kwargs)
@@ -184,6 +203,17 @@ class ScenarioConfig:
     def digest(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _as_float(value, path: str, errors: list[str]) -> float:
+    # bool is an int subclass, so float(True) would pass silently.
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    errors.append(f"{path}: must be a number")
+    return 0.0
 
 
 def _as_int(value, path: str, errors: list[str]) -> int:
@@ -386,24 +416,34 @@ def build_streams(master_seed: int, replication: int) -> dict[str, RngStream]:
     return {name: RngStream(master_seed, replication, name) for name in STREAM_NAMES}
 
 
-def _build_model(config: ScenarioConfig, replication: int,
-                 trace: list | None = None,
-                 collect_outcomes: bool = False) -> tuple[Simulator, ShelterModel]:
-    sim = Simulator()
-    model = ShelterModel(
-        sim,
-        bed_capacity=config.bed_capacity,
-        services=list(config.services),
-        annual_arrivals=config.annual_arrivals,
-        bsy_fraction=config.bsy_fraction,
-        age_16_20_fraction=config.age_16_20_fraction,
-        renege_exit_prob=config.renege_exit_prob,
-        redraw_los_on_bed_renege=config.redraw_los_on_bed_renege,
-        streams=build_streams(config.master_seed, replication),
-        trace=trace,
-        collect_outcomes=collect_outcomes,
-    )
-    return sim, model
+# The last population drawn in this process, under its ``_population_key``.
+_population_cache: tuple[tuple, Population] | None = None
+
+
+def _population_key(config: ScenarioConfig, replication: int) -> tuple:
+    """What a replication's population depends on: the config with every
+    capacity blanked, and the replication index."""
+    blank = replace(config, bed_capacity=0, services=tuple(
+        replace(s, capacity_units=0) for s in config.services))
+    return blank, replication
+
+
+def replication_population(config: ScenarioConfig, replication: int,
+                           streams: dict[str, RngStream]) -> Population:
+    """The replication's arrivals and youth attributes up to the horizon.
+
+    Draws from ``streams`` unless this process drew the same key last; a
+    sweep's values differ only in capacities, so consecutive runs of one
+    replication share a single draw.
+    """
+    global _population_cache
+    key = _population_key(config, replication)
+    if _population_cache is None or _population_cache[0] != key:
+        _population_cache = key, draw_population(
+            list(config.services), config.annual_arrivals, config.bsy_fraction,
+            config.age_16_20_fraction, config.renege_exit_prob, streams,
+            config.warmup_days + config.stats_window_days)
+    return _population_cache[1]
 
 
 def _collect(config: ScenarioConfig, replication: int, model: ShelterModel,
@@ -441,15 +481,29 @@ def _collect(config: ScenarioConfig, replication: int, model: ShelterModel,
     )
 
 
-def run_replication(config: ScenarioConfig, replication: int) -> ReplicationStats:
-    """Run one seeded replication: warm-up, statistics reset, one window."""
-    sim, model = _build_model(config, replication)
+def _run(config: ScenarioConfig, replication: int, trace: list | None = None,
+         collect_outcomes: bool = False) -> tuple[ReplicationStats, ShelterModel]:
+    """The one run sequence: build, start, warm up, reset the statistics,
+    run the window, collect."""
+    streams = build_streams(config.master_seed, replication)
+    sim = Simulator()
+    model = ShelterModel(
+        sim, config.bed_capacity, list(config.services),
+        population=replication_population(config, replication, streams),
+        redraw_los_on_bed_renege=config.redraw_los_on_bed_renege,
+        streams=streams, trace=trace, collect_outcomes=collect_outcomes,
+    )
     model.start()
     sim.run_until(config.warmup_days)
     model.reset_statistics()
     horizon = config.warmup_days + config.stats_window_days
     sim.run_until(horizon)
-    return _collect(config, replication, model, horizon)
+    return _collect(config, replication, model, horizon), model
+
+
+def run_replication(config: ScenarioConfig, replication: int) -> ReplicationStats:
+    """Run one seeded replication: warm-up, statistics reset, one window."""
+    return _run(config, replication)[0]
 
 
 def run_replication_traced(config: ScenarioConfig, replication: int,
@@ -457,14 +511,7 @@ def run_replication_traced(config: ScenarioConfig, replication: int,
     """Like ``run_replication`` but also returns the full event trace (and,
     optionally, terminal youth outcomes). Slower; intended for verification."""
     trace: list = []
-    sim, model = _build_model(config, replication, trace=trace,
-                              collect_outcomes=collect_outcomes)
-    model.start()
-    sim.run_until(config.warmup_days)
-    model.reset_statistics()
-    horizon = config.warmup_days + config.stats_window_days
-    sim.run_until(horizon)
-    stats = _collect(config, replication, model, horizon)
+    stats, model = _run(config, replication, trace, collect_outcomes)
     if collect_outcomes:
         return stats, trace, model.outcomes
     return stats, trace
@@ -525,6 +572,38 @@ def worker_count(jobs: int, tasks: int, cpus: int) -> int:
     return min(jobs, tasks, cpus)
 
 
+def _run_grid(configs: list[ScenarioConfig], jobs: int) -> list[list[ReplicationStats]]:
+    """Run every (config, replication) pair and return each config's records
+    in replication order.
+
+    The configs share their replication count. Pairs run replication-major,
+    so in one process the configs of a replication follow each other and
+    share its population. With ``jobs > 1`` all pairs go to one pool of
+    ``worker_count(jobs, pairs, available_cpus())`` workers.
+    """
+    width = len(configs)
+    grid_configs = configs * configs[0].replications
+    grid_reps = [rep for rep in range(configs[0].replications) for _ in configs]
+    workers = worker_count(jobs, len(grid_reps), available_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            stats = list(pool.map(run_replication, grid_configs, grid_reps,
+                                  chunksize=_chunksize(width, len(grid_reps), workers)))
+    else:
+        stats = list(map(run_replication, grid_configs, grid_reps))
+    return [stats[i::width] for i in range(width)]
+
+
+def _chunksize(width: int, pairs: int, workers: int) -> int:
+    """About four chunks per worker, each either whole replications (a
+    multiple of ``width`` pairs) or a divisor of ``width``, so that no chunk
+    straddles two replications."""
+    target = max(1, pairs // (4 * workers))
+    if target >= width:
+        return target - target % width
+    return max(d for d in range(1, target + 1) if width % d == 0)
+
+
 def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioSummary:
     """Run every replication of a scenario and aggregate the results.
 
@@ -533,15 +612,7 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioSummary:
     and are merged in index order, so results do not depend on scheduling.
     """
     config.validate()
-    n = config.replications
-    workers = worker_count(jobs, n, available_cpus())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reps = list(pool.map(run_replication, repeat(config), range(n),
-                                 chunksize=max(1, n // (4 * workers))))
-    else:
-        reps = [run_replication(config, i) for i in range(n)]
-    return summarize(config, reps)
+    return summarize(config, _run_grid([config], jobs)[0])
 
 
 def apply_parameter(config: ScenarioConfig, parameter: str, value: int) -> ScenarioConfig:
@@ -555,15 +626,15 @@ def apply_parameter(config: ScenarioConfig, parameter: str, value: int) -> Scena
         target = parameter.split(":", 1)[1]
         names = [s.name for s in config.services]
         if target not in names:
-            raise ValueError(
-                f"unknown service {target!r}; expected one of {', '.join(names)}")
+            raise ConfigError([
+                f"unknown service {target!r}; expected one of {', '.join(names)}"])
         services = tuple(
             replace(s, capacity_units=int(value)) if s.name == target else s
             for s in config.services
         )
         return replace(config, services=services)
-    raise ValueError(
-        f"unknown sweep parameter {parameter!r}; expected bed_capacity or service:<name>")
+    raise ConfigError([
+        f"unknown sweep parameter {parameter!r}; expected bed_capacity or service:<name>"])
 
 
 def sweep(config: ScenarioConfig, parameter: str, values: list[int],
@@ -572,11 +643,16 @@ def sweep(config: ScenarioConfig, parameter: str, values: list[int],
 
     Sharing the seed couples the scenarios through common random numbers:
     identical arrivals and youth attributes, different contention only.
+    Every swept config is validated before anything runs; then all
+    (value, replication) pairs run as one grid (see ``_run_grid``), and each
+    replication's population is drawn once per process, not once per value.
     """
     if not values:
-        raise ValueError("values must be non-empty")
-    results = []
-    for value in values:
-        swept = apply_parameter(config, parameter, value)
-        results.append((value, run_scenario(swept, jobs=jobs)))
-    return results
+        raise ConfigError(["values: must be non-empty"])
+    swept = [apply_parameter(config, parameter, value) for value in values]
+    errors = [f"{parameter}={value}: {error}"
+              for value, cfg in zip(values, swept) for error in cfg.validation_errors()]
+    if errors:
+        raise ConfigError(errors)
+    grid = _run_grid(swept, jobs)
+    return [(value, summarize(cfg, reps)) for value, cfg, reps in zip(values, swept, grid)]

@@ -13,6 +13,7 @@ their departure time, when all held units are released at once.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
@@ -183,52 +184,118 @@ class FlowCounters:
     bed_renege_stayed: int = 0
 
 
-def build_needs_profile(specs: list[ServiceSpec], stream: RngStream) -> dict[str, int]:
-    """Draw monthly appointment counts per service: a demand coin, then a
-    uniform count over the service's conditional range."""
-    needs = {}
-    for spec in specs:
-        if sample_bernoulli(spec.request_prob, stream.uniform()):
-            needs[spec.name] = sample_uniform_int(spec.appt_min, spec.appt_max, stream.uniform())
-        else:
-            needs[spec.name] = 0
-    return needs
+def build_needs_profile(specs: list[ServiceSpec], stream: RngStream) -> list[int]:
+    """Draw monthly appointment counts, in service order: per service a demand
+    coin, then a uniform count over the service's conditional range."""
+    return [sample_uniform_int(spec.appt_min, spec.appt_max, stream.uniform())
+            if sample_bernoulli(spec.request_prob, stream.uniform()) else 0
+            for spec in specs]
 
 
-def assign_attributes(youth_id: int, kind: YouthKind, age_16_20_fraction: float,
-                      renege_exit_prob: float, specs: list[ServiceSpec],
-                      attr_stream: RngStream, needs_stream: RngStream) -> Youth:
-    """Draw a youth's stay attributes and needs profile.
+class Population:
+    """One replication's arrivals, drawn before the run: arrival epochs and
+    every youth's stay attributes, as columns indexed by youth id.
 
-    All draws happen here, up front, so a youth's attributes depend only on
-    the draw sequence and never on resource contention.
+    Times and stay attributes are ``array('d')`` columns and the yes/no
+    attributes ``bytearray`` columns. Appointment counts are one flat list
+    holding one int per youth and service, in the order of ``names``; a list
+    rather than a fixed-width array because ``appt_max`` has no upper bound.
     """
-    if kind is YouthKind.BED_SEEKING:
-        if sample_bernoulli(age_16_20_fraction, attr_stream.uniform()):
-            age = AgeGroup.AGE_16_20
-            los = sample_triangular(LOS_BED_SEEKING_16_20, attr_stream.uniform())
-        else:
-            age = AgeGroup.AGE_21_24
-            los = sample_triangular(LOS_BED_SEEKING_21_24, attr_stream.uniform())
+
+    __slots__ = ("names", "times", "bed_seeking", "age_16_20", "exits",
+                 "length_of_stay", "bed_patience", "service_patience", "needs")
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+        self.times = array("d")
+        self.bed_seeking = bytearray()
+        self.age_16_20 = bytearray()
+        self.exits = bytearray()
+        self.length_of_stay = array("d")
+        self.bed_patience = array("d")  # 0.0 for service-only youth
+        self.service_patience = array("d")
+        self.needs: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def youth(self, i: int) -> Youth:
+        """Youth ``i`` as the model admits it."""
+        width = len(self.names)
+        needs = dict(zip(self.names, self.needs[i * width:(i + 1) * width]))
+        if self.bed_seeking[i]:
+            age = AgeGroup.AGE_16_20 if self.age_16_20[i] else AgeGroup.AGE_21_24
+            return Youth(i, YouthKind.BED_SEEKING, age, self.length_of_stay[i],
+                         self.bed_patience[i], self.service_patience[i], needs,
+                         exits_on_bed_renege=bool(self.exits[i]))
+        return Youth(i, YouthKind.SERVICE_ONLY, None, self.length_of_stay[i], None,
+                     self.service_patience[i], needs)
+
+
+def assign_attributes(population: Population, bed_seeking: bool,
+                      age_16_20_fraction: float, renege_exit_prob: float,
+                      specs: list[ServiceSpec], attr_stream: RngStream,
+                      needs_stream: RngStream) -> None:
+    """Draw one youth's stay attributes and needs profile onto the end of
+    ``population``.
+
+    Bed seekers take four ``attr_stream`` draws (age band, stay, bed
+    patience, exit coin) and service-only youth one, before the service
+    patience draw; the order of draws is part of the reproducibility
+    contract.
+    """
+    if bed_seeking:
+        young = sample_bernoulli(age_16_20_fraction, attr_stream.uniform())
+        los = sample_triangular(LOS_BED_SEEKING_16_20 if young else LOS_BED_SEEKING_21_24,
+                                attr_stream.uniform())
         bed_patience = sample_triangular(BED_PATIENCE, attr_stream.uniform())
         exits = sample_bernoulli(renege_exit_prob, attr_stream.uniform())
     else:
-        age = None
+        young = exits = False
         los = sample_triangular(LOS_SERVICE_ONLY, attr_stream.uniform())
-        bed_patience = None
-        exits = False
-    service_patience = sample_triangular(SERVICE_PATIENCE, attr_stream.uniform())
-    needs = build_needs_profile(specs, needs_stream)
-    return Youth(youth_id, kind, age, los, bed_patience, service_patience, needs,
-                 exits_on_bed_renege=exits)
+        bed_patience = 0.0
+    population.bed_seeking.append(bed_seeking)
+    population.age_16_20.append(young)
+    population.exits.append(exits)
+    population.length_of_stay.append(los)
+    population.bed_patience.append(bed_patience)
+    population.service_patience.append(
+        sample_triangular(SERVICE_PATIENCE, attr_stream.uniform()))
+    population.needs.extend(build_needs_profile(specs, needs_stream))
+
+
+def draw_population(specs: list[ServiceSpec], annual_arrivals: float,
+                    bsy_fraction: float, age_16_20_fraction: float,
+                    renege_exit_prob: float, streams: dict[str, RngStream],
+                    horizon: float) -> Population:
+    """Draw every arrival up to ``horizon`` with all its attributes.
+
+    Arrivals form a Poisson process of rate ``annual_arrivals`` per year from
+    the ``arrivals`` stream. In arrival order, each youth's kind and stay
+    attributes come from ``attributes`` and its needs from ``needs``. None of
+    this depends on contention, so the result can be shared by every
+    scenario that differs only in capacities.
+    """
+    population = Population(tuple(s.name for s in specs))
+    if annual_arrivals <= 0:
+        return population
+    gap = ExponentialParams(DAYS_PER_YEAR / annual_arrivals)
+    arrivals, attr, needs = streams["arrivals"], streams["attributes"], streams["needs"]
+    t = 0.0
+    while (t := t + sample_exponential(gap, 1.0 - arrivals.uniform())) <= horizon:
+        population.times.append(t)
+        assign_attributes(population, sample_bernoulli(bsy_fraction, attr.uniform()),
+                          age_16_20_fraction, renege_exit_prob, specs, attr, needs)
+    return population
 
 
 class ShelterModel:
     """Event-driven shelter with one bed pool and one pool per service.
 
-    The model owns the resources and the youth state machine. Arrival
-    generation is optional (``start``); tests can instead inject fully
-    specified youths through ``admit``.
+    The model owns the resources and the youth state machine. Arrivals come
+    from a pre-drawn ``population`` (``start``); tests can instead inject
+    fully specified youths through ``admit``. Only the ``redraw`` stream is
+    read during the run, because whether it is used depends on contention.
 
     When a ``trace`` list is supplied, every state change appends one tuple:
 
@@ -243,30 +310,23 @@ class ShelterModel:
     """
 
     def __init__(self, sim: Simulator, bed_capacity: int, services: list[ServiceSpec],
-                 annual_arrivals: float = 0.0, bsy_fraction: float = 0.0,
-                 age_16_20_fraction: float = 0.0, renege_exit_prob: float = 0.0,
+                 population: Population | None = None,
                  redraw_los_on_bed_renege: bool = False,
                  streams: dict[str, RngStream] | None = None,
-                 trace: list | None = None, collect_outcomes: bool = False,
-                 arrival_cutoff: float | None = None):
+                 trace: list | None = None, collect_outcomes: bool = False):
         self.sim = sim
         self.specs = list(services)
         self.beds = Resource(sim, BED_RESOURCE, bed_capacity)
         self.services = {s.name: Resource(sim, s.name, s.capacity_units) for s in self.specs}
-        self.annual_arrivals = annual_arrivals
-        self.bsy_fraction = bsy_fraction
-        self.age_16_20_fraction = age_16_20_fraction
-        self.renege_exit_prob = renege_exit_prob
+        self.population = population
         self.redraw_los_on_bed_renege = redraw_los_on_bed_renege
         self.streams = streams
         self.trace = trace
         self.collect_outcomes = collect_outcomes
         self.outcomes: list[YouthOutcome] = []
-        self.arrival_cutoff = arrival_cutoff
         self.counters = FlowCounters()
         self._stats_on = False
         self._next_id = 0
-        self._gap_params: ExponentialParams | None = None
 
     # -- statistics window ---------------------------------------------------
 
@@ -287,31 +347,17 @@ class ShelterModel:
     # -- arrivals --------------------------------------------------------------
 
     def start(self) -> None:
-        """Begin Poisson arrivals with mean rate ``annual_arrivals`` per year."""
-        if self.annual_arrivals <= 0:
-            return
-        self._gap_params = ExponentialParams(DAYS_PER_YEAR / self.annual_arrivals)
-        self._schedule_next_arrival()
-
-    def _schedule_next_arrival(self) -> None:
-        u = 1.0 - self.streams["arrivals"].uniform()
-        t = self.sim.now + sample_exponential(self._gap_params, u)
-        if self.arrival_cutoff is None or t <= self.arrival_cutoff:
-            self.sim.schedule(t, self._arrive)
+        """Schedule the population's first arrival; each arrival schedules the
+        next one after admitting its youth."""
+        if self.population:
+            self.sim.schedule(self.population.times[0], self._arrive)
 
     def _arrive(self) -> None:
-        attr = self.streams["attributes"]
-        if sample_bernoulli(self.bsy_fraction, attr.uniform()):
-            kind = YouthKind.BED_SEEKING
-        else:
-            kind = YouthKind.SERVICE_ONLY
-        youth = assign_attributes(
-            self._next_id, kind, self.age_16_20_fraction, self.renege_exit_prob,
-            self.specs, attr, self.streams["needs"],
-        )
-        self._next_id += 1
-        self.admit(youth)
-        self._schedule_next_arrival()
+        i = self._next_id
+        self._next_id = i + 1
+        self.admit(self.population.youth(i))
+        if self._next_id < len(self.population):
+            self.sim.schedule(self.population.times[self._next_id], self._arrive)
 
     # -- youth process -----------------------------------------------------------
 

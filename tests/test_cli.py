@@ -248,3 +248,38 @@ def test_cli_run_never_imports_scipy(tmp_path):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("assignment, field", [
+    ("annual_arrivals=true", "annual_arrivals"),
+    ("bsy_fraction=false", "bsy_fraction"),
+    ("services.psychiatric.request_prob=true", "services[3].request_prob"),
+])
+def test_boolean_in_number_field_exits_2(assignment, field, capsys):
+    assert run_cli("validate", "--set", assignment) == 2
+    assert f"config error: {field}: must be a number" in capsys.readouterr().err
+
+
+def test_expected_arrivals_limit(capsys):
+    # 1e6 arrivals a year over one year is exactly the limit.
+    at_limit = ["--set", "annual_arrivals=1000000", "--set", "warmup_days=0",
+                "--set", "stats_window_days=365.25"]
+    assert run_cli("validate", *at_limit) == 0
+    capsys.readouterr()
+    assert run_cli("validate", *at_limit, "--set", "annual_arrivals=1000000.5") == 2
+    assert "expected arrivals per replication" in capsys.readouterr().err
+    assert run_cli("validate", "--set", "warmup_days=1e12") == 2
+
+
+def test_sweep_with_invalid_last_value_runs_nothing(tmp_path, capsys, monkeypatch):
+    import sheltersim.experiment as experiment
+
+    def must_not_run(config, replication):
+        raise AssertionError("a replication ran before every value was validated")
+
+    monkeypatch.setattr(experiment, "run_replication", must_not_run)
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--param", "bed_capacity", "--values", "10,0",
+                   "--out", str(out), *FAST_OVERRIDES) == 2
+    assert not out.exists()
+    assert "config error: bed_capacity=0: bed_capacity: must be >= 1" in capsys.readouterr().err

@@ -8,11 +8,15 @@ from pathlib import Path
 
 import pytest
 
+from sheltersim import experiment
 from sheltersim.experiment import (
+    MAX_EXPECTED_ARRIVALS,
     ConfigError,
     ScenarioConfig,
     apply_parameter,
     arrival_log,
+    build_streams,
+    replication_population,
     run_replication,
     run_replication_traced,
     run_scenario,
@@ -188,6 +192,55 @@ def test_sweep_sets_service_capacity():
     assert by_name["medical"] == {s.name: s for s in cfg.services}["medical"]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_grid_matches_per_value_scenarios(jobs):
+    cfg = mini_config(replications=3)
+    values = [6, 8, 10]
+    swept = sweep(cfg, "bed_capacity", values, jobs=jobs)
+    assert [value for value, _ in swept] == values
+    for value, summary in swept:
+        direct = run_scenario(apply_parameter(cfg, "bed_capacity", value))
+        assert summary.replications == direct.replications
+        assert summary == direct
+
+
+def test_grid_chunks_stay_within_one_replication():
+    # (values per replication, pairs, workers) -> pairs per chunk
+    assert experiment._chunksize(9, 18, 2) == 1
+    assert experiment._chunksize(9, 270, 2) == 27
+    assert experiment._chunksize(6, 24, 2) == 3
+    assert experiment._chunksize(4, 40, 2) == 4
+    assert experiment._chunksize(1, 100, 2) == 12
+
+
+def test_population_is_shared_only_across_capacities():
+    cfg = mini_config()
+
+    def population(config, rep=0):
+        return replication_population(config, rep, build_streams(config.master_seed, rep))
+
+    first = population(cfg)
+    assert population(apply_parameter(cfg, "bed_capacity", 12)) is first
+    assert population(apply_parameter(cfg, "service:psychiatric", 9)) is first
+    services = list(cfg.services)
+    services[3] = replace(services[3], request_prob=0.6)
+    changed = [
+        (replace(cfg, master_seed=778), 0),
+        (cfg, 1),
+        (replace(cfg, annual_arrivals=176.0), 0),
+        (replace(cfg, services=tuple(services)), 0),
+        (replace(cfg, stats_window_days=181.0), 0),
+        (replace(cfg, warmup_days=119.0), 0),
+    ]
+    for other, rep in changed:
+        base = population(cfg)
+        assert population(other, rep) is not base, (other, rep)
+    # A redraw after a miss gives the same population again.
+    again = population(cfg)
+    assert again is not first
+    assert again.times == first.times and again.needs == first.needs
+
+
 def test_parallel_jobs_match_serial():
     cfg = mini_config(replications=4)
     assert run_scenario(cfg, jobs=2) == run_scenario(cfg, jobs=1)
@@ -270,6 +323,29 @@ def test_config_rejects_non_integer_capacity():
     with pytest.raises(ConfigError) as excinfo:
         ScenarioConfig.from_dict({"bed_capacity": 66.5})
     assert "bed_capacity" in str(excinfo.value)
+
+
+def test_expected_arrivals_bounded():
+    # Exactly the limit: 1e6 a year over one year.
+    at_limit = ScenarioConfig(annual_arrivals=MAX_EXPECTED_ARRIVALS, warmup_days=0.0,
+                              stats_window_days=365.25)
+    assert at_limit.validation_errors() == []
+    above = replace(at_limit, annual_arrivals=MAX_EXPECTED_ARRIVALS + 0.5)
+    [error] = above.validation_errors()
+    assert "1e+06 expected arrivals per replication" in error
+    assert ScenarioConfig(warmup_days=1e12).validation_errors()
+
+
+@pytest.mark.parametrize("data", [
+    {"annual_arrivals": True},
+    {"renege_exit_prob": False},
+    {"services": [{"name": "medical", "capacity_units": 10, "request_prob": True,
+                   "appt_min": 1, "appt_max": 2}]},
+])
+def test_config_rejects_booleans_as_numbers(data):
+    with pytest.raises(ConfigError) as excinfo:
+        ScenarioConfig.from_dict(data)
+    assert "must be a number" in str(excinfo.value)
 
 
 def test_invalid_window_rejected():

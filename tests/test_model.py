@@ -7,13 +7,14 @@ from sheltersim.experiment import build_streams, run_replication_traced
 from sheltersim.model import (
     BedOutcome,
     Departure,
+    Population,
     ServiceOutcome,
     ServiceSpec,
     ShelterModel,
-    YouthKind,
     assign_attributes,
     build_needs_profile,
     default_services,
+    draw_population,
 )
 from sheltersim.kernel import Simulator
 from support import mini_config, scripted_model, scripted_youth
@@ -23,12 +24,23 @@ def _streams(seed=11, rep=0):
     return build_streams(seed, rep)
 
 
+def _youths(n, bed_seeking, seed):
+    """``n`` youths of one kind, drawn one by one from fresh streams."""
+    streams = _streams(seed)
+    specs = default_services()
+    population = Population(tuple(s.name for s in specs))
+    for _ in range(n):
+        assign_attributes(population, bed_seeking, 0.5, 0.25, specs,
+                          streams["attributes"], streams["needs"])
+    return [population.youth(i) for i in range(n)]
+
+
+def _needs(specs, stream):
+    return dict(zip((s.name for s in specs), build_needs_profile(specs, stream)))
+
+
 def test_service_only_length_of_stay_range():
-    streams = _streams()
-    for i in range(2000):
-        youth = assign_attributes(i, YouthKind.SERVICE_ONLY, 0.5, 0.25,
-                                  default_services(),
-                                  streams["attributes"], streams["needs"])
+    for youth in _youths(2000, False, 11):
         assert 7.0 <= youth.length_of_stay <= 30.0
         assert youth.bed_patience is None
         assert youth.age_group is None
@@ -36,12 +48,8 @@ def test_service_only_length_of_stay_range():
 
 
 def test_bed_seeking_attribute_ranges():
-    streams = _streams(12)
     seen_ages = set()
-    for i in range(2000):
-        youth = assign_attributes(i, YouthKind.BED_SEEKING, 0.5, 0.25,
-                                  default_services(),
-                                  streams["attributes"], streams["needs"])
+    for youth in _youths(2000, True, 12):
         assert 3.0 <= youth.bed_patience <= 7.0
         seen_ages.add(youth.age_group.value)
         if youth.age_group.value == "16-20":
@@ -53,13 +61,9 @@ def test_bed_seeking_attribute_ranges():
 
 def test_service_only_mean_length_of_stay():
     # Analytic mean of the service-only stay distribution is (7+14+30)/3 = 17.
-    streams = _streams(13)
     n = 10**5
     total = 0.0
-    for i in range(n):
-        youth = assign_attributes(i, YouthKind.SERVICE_ONLY, 0.5, 0.25,
-                                  default_services(),
-                                  streams["attributes"], streams["needs"])
+    for youth in _youths(n, False, 13):
         total += youth.length_of_stay
     assert abs(total / n - 17.0) < 0.1
 
@@ -71,7 +75,7 @@ def test_needs_profile_invariants():
     insurance_ones = 0
     requests = {s.name: 0 for s in specs}
     for _ in range(n):
-        needs = build_needs_profile(specs, streams["needs"])
+        needs = _needs(specs, streams["needs"])
         assert needs["case_management"] >= 2
         assert needs["insurance_enrollment"] in (0, 1)
         for spec in specs:
@@ -95,7 +99,7 @@ def test_weekly_psychiatric_profile_possible():
     specs = default_services()
     seen = set()
     for _ in range(5000):
-        seen.add(build_needs_profile(specs, streams["needs"])["psychiatric"])
+        seen.add(_needs(specs, streams["needs"])["psychiatric"])
     assert seen == {0, 1, 2, 3, 4}
 
 
@@ -203,7 +207,10 @@ def test_renege_to_stay_can_redraw_stay_length():
 
 def test_no_arrivals_at_zero_rate():
     sim = Simulator()
-    model = ShelterModel(sim, 5, default_services(), annual_arrivals=0.0,
+    population = draw_population(default_services(), 0.0, 1 / 3, 0.92, 0.25,
+                                 _streams(1), 365.25)
+    assert len(population) == 0
+    model = ShelterModel(sim, 5, default_services(), population=population,
                          streams=_streams(1))
     model.start()
     sim.run_until(365.25)
@@ -238,12 +245,13 @@ def test_conservation_after_drain():
     # units return, and the flow identity closes exactly.
     sim = Simulator()
     cfg = mini_config()
+    streams = _streams(555)
+    population = draw_population(
+        list(cfg.services), cfg.annual_arrivals, cfg.bsy_fraction,
+        cfg.age_16_20_fraction, cfg.renege_exit_prob, streams, 200.0)
     model = ShelterModel(
-        sim, cfg.bed_capacity, list(cfg.services),
-        annual_arrivals=cfg.annual_arrivals, bsy_fraction=cfg.bsy_fraction,
-        age_16_20_fraction=cfg.age_16_20_fraction,
-        renege_exit_prob=cfg.renege_exit_prob,
-        streams=_streams(555), arrival_cutoff=200.0, collect_outcomes=True,
+        sim, cfg.bed_capacity, list(cfg.services), population=population,
+        streams=streams, collect_outcomes=True,
     )
     model.reset_statistics()
     model.start()
