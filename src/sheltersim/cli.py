@@ -20,6 +20,8 @@ import numpy as np
 
 from . import __version__
 from .experiment import (
+    FLOW_LABELS,
+    MAX_GRID_PAIRS,
     ConfigError,
     ScenarioConfig,
     ScenarioSummary,
@@ -33,17 +35,6 @@ EXIT_RUNTIME = 3
 
 RESOURCE_COLUMNS = ("name", "avg_wait_days", "max_wait_days", "utilization_pct",
                     "pct_reneged", "ci_halfwidth_wait_days", "value")
-
-FLOW_LABELS = {
-    "arrivals": "youth_arrivals",
-    "arrivals_bed_seeking": "youth_arrivals_bed_seeking",
-    "arrivals_service_only": "youth_arrivals_service_only",
-    "served_then_left": "youth_served_then_left",
-    "left_unserved": "youth_left_unserved",
-    "bed_renege_exit": "bed_renege_exit",
-    "bed_renege_stayed": "bed_renege_stayed",
-    "still_in_system": "youth_still_in_system",
-}
 
 
 def _fmt(value: float | None, decimals: int) -> str:
@@ -61,7 +52,7 @@ def load_config(path: str | None) -> dict:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {path}"])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over int_max_str_digits
         raise ConfigError([f"config file {path} is not valid JSON: {exc}"])
     if not isinstance(data, dict):
         raise ConfigError([f"config file {path} must contain a JSON object"])
@@ -82,7 +73,7 @@ def apply_set(data: dict, assignment: str) -> None:
         raise ConfigError([f"--set {assignment!r}: empty key"])
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:
         value = raw
     parts = key.split(".")
     node = data
@@ -134,10 +125,17 @@ def parse_values(text: str) -> list[int]:
                 raise ValueError
             if step <= 0 or stop < start:
                 raise ValueError
-            return list(range(start, stop + 1, step))
-        return [int(p) for p in text.split(",")]
+            values = range(start, stop + 1, step)
+            count = (stop - start) // step + 1  # len() overflows past sys.maxsize
+        else:
+            values = [int(p) for p in text.split(",")]
+            count = len(values)
     except ValueError:
         raise ConfigError([f"--values {text!r}: expected start:stop:step or a comma list of integers"])
+    if count > MAX_GRID_PAIRS:
+        raise ConfigError([f"--values {text!r}: {count:,} values, above the limit of "
+                           f"{MAX_GRID_PAIRS:,} (value, replication) pairs"])
+    return list(values)
 
 
 # -- output writing -----------------------------------------------------------
@@ -236,22 +234,29 @@ def print_summary_table(summary: ScenarioSummary, heading: str | None = None) ->
 # -- commands --------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    config = resolve_config(args)
+def _run_to_csv(args, config: ScenarioConfig, run, write):
+    """The output sequence of ``simulate`` and ``sweep``: open ``args.out``
+    (before the run, so an unwritable path fails at once), ``write(fh,
+    run())``, removing the file if either fails, then write the manifest.
+    Returns the run's result and the manifest path."""
     try:
         fh = open(args.out, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise OSError(f"cannot write {args.out}: {exc}") from exc
     try:
-        summary = run_scenario(config, jobs=args.jobs)
-        write_scenario_csv(fh, summary)
+        with fh:
+            result = run()
+            write(fh, result)
     except BaseException:
-        fh.close()
         os.unlink(args.out)
         raise
-    fh.close()
-    manifest_path = write_manifest(args.out, "simulate", config)
+    return result, write_manifest(args.out, args.command, config)
+
+
+def cmd_simulate(args) -> int:
+    config = resolve_config(args)
+    summary, manifest_path = _run_to_csv(
+        args, config, lambda: run_scenario(config, jobs=args.jobs), write_scenario_csv)
     print_summary_table(summary)
     print(f"Wrote {args.out} and {manifest_path}")
     return EXIT_OK
@@ -259,24 +264,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = resolve_config(args)
-    if not (args.param == "bed_capacity" or args.param.startswith("service:")):
-        raise ConfigError(
-            [f"--param {args.param!r}: expected bed_capacity or service:<name>"])
     values = parse_values(args.values)
-    try:
-        fh = open(args.out, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    try:
-        results = sweep(config, args.param, values, jobs=args.jobs)
-        write_sweep_csv(fh, args.param, results)
-    except BaseException:
-        fh.close()
-        os.unlink(args.out)
-        raise
-    fh.close()
-    manifest_path = write_manifest(args.out, "sweep", config)
+    results, manifest_path = _run_to_csv(
+        args, config, lambda: sweep(config, args.param, values, jobs=args.jobs),
+        lambda fh, results: write_sweep_csv(fh, args.param, results))
     for value, summary in results:
         print_summary_table(summary, heading=f"--- {args.param} = {value} ---")
     print(f"Wrote {args.out} and {manifest_path}")

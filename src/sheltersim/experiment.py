@@ -22,12 +22,14 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
+from typing import get_args, get_type_hints
 
 from .kernel import Simulator
 from .model import (
     DAYS_PER_YEAR,
+    FlowCounters,
     Population,
     ServiceSpec,
     ShelterModel,
@@ -44,11 +46,12 @@ STREAM_NAMES = ("arrivals", "attributes", "needs", "redraw")
 # replications expect about 2.8k arrivals.
 MAX_EXPECTED_ARRIVALS = 1e6
 
-FLOW_FIELDS = (
-    "arrivals", "arrivals_bed_seeking", "arrivals_service_only",
-    "served_then_left", "left_unserved", "bed_renege_exit",
-    "bed_renege_stayed", "still_in_system",
-)
+# Bound on the (value, replication) pairs one command runs, and so on its
+# lists of pairs and of kept records (about 2.5 KB per replication).
+MAX_GRID_PAIRS = 10 ** 5
+
+# Each flow and the label of its mean in the CSV, in CSV order.
+FLOW_LABELS = {f.name: f.metadata["label"] for f in fields(FlowCounters)}
 
 
 class ConfigError(ValueError):
@@ -114,8 +117,8 @@ class ScenarioConfig:
                 f"annual_arrivals x (warmup_days + stats_window_days) / {DAYS_PER_YEAR}: "
                 f"{expected:.6g} expected arrivals per replication, above the limit "
                 f"of {MAX_EXPECTED_ARRIVALS:,.0f}")
-        if self.replications < 1:
-            errors.append("replications: must be >= 1")
+        if not 1 <= self.replications <= MAX_GRID_PAIRS:
+            errors.append(f"replications: must be within [1, {MAX_GRID_PAIRS:,}]")
         if not 0 <= self.master_seed < 2 ** 64:
             errors.append("master_seed: must fit in an unsigned 64-bit integer")
         return errors
@@ -126,106 +129,69 @@ class ScenarioConfig:
             raise ConfigError(errors)
 
     def to_dict(self) -> dict:
-        return {
-            "bed_capacity": self.bed_capacity,
-            "services": [
-                {
-                    "name": s.name,
-                    "capacity_units": s.capacity_units,
-                    "request_prob": s.request_prob,
-                    "appt_min": s.appt_min,
-                    "appt_max": s.appt_max,
-                }
-                for s in self.services
-            ],
-            "annual_arrivals": self.annual_arrivals,
-            "bsy_fraction": self.bsy_fraction,
-            "age_16_20_fraction": self.age_16_20_fraction,
-            "renege_exit_prob": self.renege_exit_prob,
-            "redraw_los_on_bed_renege": self.redraw_los_on_bed_renege,
-            "warmup_days": self.warmup_days,
-            "stats_window_days": self.stats_window_days,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-        }
+        """The config as JSON data: its fields in declared order, services
+        as a list of objects."""
+        return asdict(self, dict_factory=lambda items: {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in items})
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(["config: must be an object"])
-        defaults = cls()
-        known = set(defaults.to_dict())
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError([f"{key}: unknown field" for key in unknown])
-        kwargs = {}
-        errors = []
-        for key, value in data.items():
-            if key == "services":
-                if not isinstance(value, list):
-                    errors.append("services: must be an array")
-                    continue
-                specs = []
-                for i, item in enumerate(value):
-                    if not isinstance(item, dict):
-                        errors.append(f"services[{i}]: must be an object")
-                        continue
-                    extra = sorted(set(item) - {"name", "capacity_units",
-                                                "request_prob", "appt_min", "appt_max"})
-                    if extra:
-                        errors.extend(f"services[{i}].{k}: unknown field" for k in extra)
-                        continue
-                    specs.append(ServiceSpec(
-                        name=str(item.get("name", "")),
-                        capacity_units=_as_int(item.get("capacity_units", 0),
-                                               f"services[{i}].capacity_units", errors),
-                        request_prob=_as_float(item.get("request_prob", 0.0),
-                                               f"services[{i}].request_prob", errors),
-                        appt_min=_as_int(item.get("appt_min", 1),
-                                         f"services[{i}].appt_min", errors),
-                        appt_max=_as_int(item.get("appt_max", 1),
-                                         f"services[{i}].appt_max", errors),
-                    ))
-                kwargs["services"] = tuple(specs)
-            elif key in ("bed_capacity", "replications", "master_seed"):
-                kwargs[key] = _as_int(value, key, errors)
-            elif key == "redraw_los_on_bed_renege":
-                if not isinstance(value, bool):
-                    errors.append(f"{key}: must be a boolean")
-                else:
-                    kwargs[key] = value
-            else:
-                kwargs[key] = _as_float(value, key, errors)
+        """Inverse of ``to_dict``; missing keys take their defaults. Every
+        error found is raised at once as one ``ConfigError``."""
+        errors: list[str] = []
+        config = _from_object(cls, data, "", errors)
         if errors:
             raise ConfigError(errors)
-        return cls(**kwargs)
+        return config
 
     def digest(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _as_float(value, path: str, errors: list[str]) -> float:
-    # bool is an int subclass, so float(True) would pass silently.
-    if not isinstance(value, bool):
+def _from_object(cls, data, path: str, errors: list[str]):
+    """Build the dataclass ``cls`` from a JSON object whose keys name its
+    fields, coercing each value by the field's declared type. Messages go to
+    ``errors``, prefixed with ``path``; the result is then meaningless."""
+    if not isinstance(data, dict):
+        errors.append(f"{path.rstrip('.') or 'config'}: must be an object")
+        return None
+    types = get_type_hints(cls)
+    unknown = sorted(set(data) - set(types))
+    if unknown:
+        errors.extend(f"{path}{key}: unknown field" for key in unknown)
+        return None
+    return cls(**{key: _coerce(types[key], value, f"{path}{key}", errors)
+                  for key, value in data.items()})
+
+
+def _coerce(kind, value, path: str, errors: list[str]):
+    """``value`` as the declared type ``kind``: a number field takes a JSON
+    number (not a boolean, though Python counts it as an int), and a tuple
+    of dataclasses a JSON array of objects."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and number:
         try:
             return float(value)
-        except (TypeError, ValueError):
-            pass
-    errors.append(f"{path}: must be a number")
-    return 0.0
-
-
-def _as_int(value, path: str, errors: list[str]) -> int:
-    if isinstance(value, bool):
-        errors.append(f"{path}: must be an integer")
-        return 0
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    errors.append(f"{path}: must be an integer, got {value!r}")
-    return 0
+        except OverflowError:
+            errors.append(f"{path}: must be a number within float range")
+    elif kind is int and number:
+        if isinstance(value, int) or value.is_integer():
+            return int(value)
+        errors.append(f"{path}: must be an integer, got {value!r}")
+    elif kind is float or kind is int:
+        errors.append(f"{path}: must be a number")
+    elif kind is bool or kind is str:
+        if isinstance(value, kind):
+            return value
+        errors.append(f"{path}: must be a {'boolean' if kind is bool else 'string'}")
+    elif isinstance(value, list):
+        return tuple(_from_object(get_args(kind)[0], entry, f"{path}[{i}].", errors)
+                     for i, entry in enumerate(value))
+    else:
+        errors.append(f"{path}: must be an array")
+    return None
 
 
 @dataclass(frozen=True)
@@ -247,20 +213,13 @@ class ResourceWindowStats:
         return 100.0 * self.reneges / self.requests
 
 
-@dataclass(frozen=True)
-class ReplicationStats:
-    """Everything measured in one replication's statistics window."""
+@dataclass(kw_only=True)
+class ReplicationStats(FlowCounters):
+    """Everything measured in one replication's statistics window: the
+    youth flows and each resource's statistics."""
 
     replication: int
     resources: dict[str, ResourceWindowStats]
-    arrivals: int
-    arrivals_bed_seeking: int
-    arrivals_service_only: int
-    served_then_left: int
-    left_unserved: int
-    bed_renege_exit: int
-    bed_renege_stayed: int
-    still_in_system: int
 
 
 @dataclass(frozen=True)
@@ -466,23 +425,12 @@ def _collect(config: ScenarioConfig, replication: int, model: ShelterModel,
             max_wait=max(waits) if waits else None,
             utilization=utilization,
         )
-    c = model.counters
-    return ReplicationStats(
-        replication=replication,
-        resources=resources,
-        arrivals=c.arrivals,
-        arrivals_bed_seeking=c.arrivals_bed_seeking,
-        arrivals_service_only=c.arrivals_service_only,
-        served_then_left=c.served_then_left,
-        left_unserved=c.left_unserved,
-        bed_renege_exit=c.bed_renege_exit,
-        bed_renege_stayed=c.bed_renege_stayed,
-        still_in_system=c.arrivals - c.served_then_left - c.left_unserved,
-    )
+    return ReplicationStats(replication=replication, resources=resources,
+                            **vars(model.counters))
 
 
-def _run(config: ScenarioConfig, replication: int, trace: list | None = None,
-         collect_outcomes: bool = False) -> tuple[ReplicationStats, ShelterModel]:
+def _run(config: ScenarioConfig, replication: int,
+         trace: list | None = None) -> ReplicationStats:
     """The one run sequence: build, start, warm up, reset the statistics,
     run the window, collect."""
     streams = build_streams(config.master_seed, replication)
@@ -491,30 +439,27 @@ def _run(config: ScenarioConfig, replication: int, trace: list | None = None,
         sim, config.bed_capacity, list(config.services),
         population=replication_population(config, replication, streams),
         redraw_los_on_bed_renege=config.redraw_los_on_bed_renege,
-        streams=streams, trace=trace, collect_outcomes=collect_outcomes,
+        streams=streams, trace=trace,
     )
     model.start()
     sim.run_until(config.warmup_days)
     model.reset_statistics()
     horizon = config.warmup_days + config.stats_window_days
     sim.run_until(horizon)
-    return _collect(config, replication, model, horizon), model
+    return _collect(config, replication, model, horizon)
 
 
 def run_replication(config: ScenarioConfig, replication: int) -> ReplicationStats:
     """Run one seeded replication: warm-up, statistics reset, one window."""
-    return _run(config, replication)[0]
+    return _run(config, replication)
 
 
-def run_replication_traced(config: ScenarioConfig, replication: int,
-                           collect_outcomes: bool = False):
-    """Like ``run_replication`` but also returns the full event trace (and,
-    optionally, terminal youth outcomes). Slower; intended for verification."""
+def run_replication_traced(config: ScenarioConfig,
+                           replication: int) -> tuple[ReplicationStats, list]:
+    """Like ``run_replication`` but also returns the full event trace (see
+    ``ShelterModel``). Slower; intended for verification."""
     trace: list = []
-    stats, model = _run(config, replication, trace, collect_outcomes)
-    if collect_outcomes:
-        return stats, trace, model.outcomes
-    return stats, trace
+    return _run(config, replication, trace), trace
 
 
 def arrival_log(trace: list) -> list:
@@ -543,7 +488,7 @@ def summarize(config: ScenarioConfig, reps: list[ReplicationStats]) -> ScenarioS
             requests_mean=_mean([s.requests for s in per_rep]) or 0.0,
         )
     flows = {}
-    for fieldname in FLOW_FIELDS:
+    for fieldname in FLOW_LABELS:
         values = [float(getattr(r, fieldname)) for r in reps]
         flows[fieldname] = (_mean(values) or 0.0, t_halfwidth(values))
     return ScenarioSummary(config=config, resources=resources, flows=flows,
@@ -643,12 +588,17 @@ def sweep(config: ScenarioConfig, parameter: str, values: list[int],
 
     Sharing the seed couples the scenarios through common random numbers:
     identical arrivals and youth attributes, different contention only.
-    Every swept config is validated before anything runs; then all
-    (value, replication) pairs run as one grid (see ``_run_grid``), and each
-    replication's population is drawn once per process, not once per value.
+    The pair count is checked against ``MAX_GRID_PAIRS`` and every swept
+    config validated before anything runs; then all (value, replication)
+    pairs run as one grid (see ``_run_grid``), and each replication's
+    population is drawn once per process, not once per value.
     """
     if not values:
         raise ConfigError(["values: must be non-empty"])
+    pairs = len(values) * config.replications
+    if pairs > MAX_GRID_PAIRS:
+        raise ConfigError([f"values x replications: {pairs:,} (value, replication) "
+                           f"pairs, above the limit of {MAX_GRID_PAIRS:,}"])
     swept = [apply_parameter(config, parameter, value) for value in values]
     errors = [f"{parameter}={value}: {error}"
               for value, cfg in zip(values, swept) for error in cfg.validation_errors()]

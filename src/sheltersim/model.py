@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
 
@@ -51,19 +51,6 @@ class AgeGroup(Enum):
     AGE_21_24 = "21-24"
 
 
-class BedOutcome(Enum):
-    GRANTED = "granted"
-    RENEGED_EXIT = "reneged_exit"
-    RENEGED_STAYED = "reneged_stayed"
-    NOT_APPLICABLE = "not_applicable"
-
-
-class ServiceOutcome(Enum):
-    GRANTED = "granted"
-    RENEGED = "reneged"
-    BYPASSED = "bypassed"
-
-
 class Departure(Enum):
     SERVED_THEN_LEFT = "served_then_left"
     LEFT_UNSERVED = "left_unserved"
@@ -72,13 +59,14 @@ class Departure(Enum):
 @dataclass(frozen=True)
 class ServiceSpec:
     """One appointment pool: monthly capacity, demand probability, and the
-    per-youth monthly appointment range conditional on requesting."""
+    per-youth monthly appointment range conditional on requesting. A config's
+    service entry takes the default of each key it leaves out."""
 
-    name: str
-    capacity_units: int
-    request_prob: float
-    appt_min: int
-    appt_max: int
+    name: str = ""
+    capacity_units: int = 0
+    request_prob: float = 0.0
+    appt_min: int = 1
+    appt_max: int = 1
 
     def validation_errors(self, path: str = "") -> list[str]:
         errors = nonfinite_errors(self, path)
@@ -129,8 +117,6 @@ class Youth:
         "id", "kind", "age_group", "length_of_stay", "bed_patience",
         "service_patience", "needs", "arrival_time", "exits_on_bed_renege",
         "counted", "bed_held", "held_units", "pending_services",
-        "bed_outcome", "bed_wait", "service_outcomes", "service_waits",
-        "departure",
     )
 
     def __init__(self, id: int, kind: YouthKind, age_group: AgeGroup | None,
@@ -150,38 +136,29 @@ class Youth:
         self.bed_held = False
         self.held_units: dict[str, int] = {}
         self.pending_services = 0
-        self.bed_outcome = BedOutcome.NOT_APPLICABLE
-        self.bed_wait: float | None = None
-        self.service_outcomes: dict[str, ServiceOutcome] = {}
-        self.service_waits: dict[str, float] = {}
-        self.departure: Departure | None = None
 
 
-@dataclass
-class YouthOutcome:
-    """Terminal record of one youth's path through the shelter."""
-
-    youth_id: int
-    kind: YouthKind
-    bed_outcome: BedOutcome
-    bed_wait: float | None
-    service_outcomes: dict[str, ServiceOutcome]
-    service_waits: dict[str, float]
-    departure: Departure
-    departure_time: float
+def _flow(label: str):
+    return field(default=0, metadata={"label": label})
 
 
 @dataclass
 class FlowCounters:
-    """Youth-flow tallies for the statistics window (arrival cohort)."""
+    """Youth-flow tallies for the statistics window (arrival cohort).
 
-    arrivals: int = 0
-    arrivals_bed_seeking: int = 0
-    arrivals_service_only: int = 0
-    served_then_left: int = 0
-    left_unserved: int = 0
-    bed_renege_exit: int = 0
-    bed_renege_stayed: int = 0
+    The one declaration of the flows: each field's ``label`` metadata names
+    its mean in the CSV. ``still_in_system`` counts the youth who arrived in
+    the window and have not departed yet.
+    """
+
+    arrivals: int = _flow("youth_arrivals")
+    arrivals_bed_seeking: int = _flow("youth_arrivals_bed_seeking")
+    arrivals_service_only: int = _flow("youth_arrivals_service_only")
+    served_then_left: int = _flow("youth_served_then_left")
+    left_unserved: int = _flow("youth_left_unserved")
+    bed_renege_exit: int = _flow("bed_renege_exit")
+    bed_renege_stayed: int = _flow("bed_renege_stayed")
+    still_in_system: int = _flow("youth_still_in_system")
 
 
 def build_needs_profile(specs: list[ServiceSpec], stream: RngStream) -> list[int]:
@@ -297,7 +274,8 @@ class ShelterModel:
     fully specified youths through ``admit``. Only the ``redraw`` stream is
     read during the run, because whether it is used depends on contention.
 
-    When a ``trace`` list is supplied, every state change appends one tuple:
+    The ``trace`` list, when supplied, is the only record of what happened
+    to each youth; every state change appends one tuple to it:
 
     - ("arrival", t, id, kind, age, los, bed_patience, service_patience,
       needs_in_service_order, exits_on_bed_renege)
@@ -313,7 +291,7 @@ class ShelterModel:
                  population: Population | None = None,
                  redraw_los_on_bed_renege: bool = False,
                  streams: dict[str, RngStream] | None = None,
-                 trace: list | None = None, collect_outcomes: bool = False):
+                 trace: list | None = None):
         self.sim = sim
         self.specs = list(services)
         self.beds = Resource(sim, BED_RESOURCE, bed_capacity)
@@ -322,8 +300,6 @@ class ShelterModel:
         self.redraw_los_on_bed_renege = redraw_los_on_bed_renege
         self.streams = streams
         self.trace = trace
-        self.collect_outcomes = collect_outcomes
-        self.outcomes: list[YouthOutcome] = []
         self.counters = FlowCounters()
         self._stats_on = False
         self._next_id = 0
@@ -367,11 +343,13 @@ class ShelterModel:
         youth.arrival_time = now
         youth.counted = self._stats_on
         if youth.counted:
-            self.counters.arrivals += 1
+            counters = self.counters
+            counters.arrivals += 1
+            counters.still_in_system += 1
             if youth.kind is YouthKind.BED_SEEKING:
-                self.counters.arrivals_bed_seeking += 1
+                counters.arrivals_bed_seeking += 1
             else:
-                self.counters.arrivals_service_only += 1
+                counters.arrivals_service_only += 1
         if self.trace is not None:
             self.trace.append((
                 "arrival", now, youth.id, youth.kind.value,
@@ -393,8 +371,6 @@ class ShelterModel:
 
     def _on_bed_grant(self, youth: Youth, wait: float) -> None:
         youth.bed_held = True
-        youth.bed_outcome = BedOutcome.GRANTED
-        youth.bed_wait = wait
         if self.trace is not None:
             self.trace.append(("bed_grant", self.sim.now, youth.id, wait))
         self._start_services(youth)
@@ -410,10 +386,8 @@ class ShelterModel:
             else:
                 self.counters.bed_renege_stayed += 1
         if exits:
-            youth.bed_outcome = BedOutcome.RENEGED_EXIT
             self._depart(youth, Departure.LEFT_UNSERVED)
             return
-        youth.bed_outcome = BedOutcome.RENEGED_STAYED
         if self.redraw_los_on_bed_renege:
             u = self.streams["redraw"].uniform()
             youth.length_of_stay = sample_triangular(LOS_SERVICE_ONLY, u)
@@ -424,12 +398,10 @@ class ShelterModel:
         requested = []
         for spec in self.specs:
             units = youth.needs[spec.name]
-            if units == 0:
-                youth.service_outcomes[spec.name] = ServiceOutcome.BYPASSED
-                if self.trace is not None:
-                    self.trace.append(("service_bypass", now, youth.id, spec.name))
-            else:
+            if units:
                 requested.append((spec.name, units))
+            elif self.trace is not None:
+                self.trace.append(("service_bypass", now, youth.id, spec.name))
         youth.pending_services = len(requested)
         if not requested:
             self._batch_resolved(youth)
@@ -445,14 +417,11 @@ class ShelterModel:
 
     def _on_service_grant(self, youth: Youth, name: str, units: int, wait: float) -> None:
         youth.held_units[name] = units
-        youth.service_outcomes[name] = ServiceOutcome.GRANTED
-        youth.service_waits[name] = wait
         if self.trace is not None:
             self.trace.append(("service_grant", self.sim.now, youth.id, name, wait))
         self._service_resolved(youth)
 
     def _on_service_renege(self, youth: Youth, name: str) -> None:
-        youth.service_outcomes[name] = ServiceOutcome.RENEGED
         if self.trace is not None:
             self.trace.append(("service_renege", self.sim.now, youth.id, name))
         self._service_resolved(youth)
@@ -473,8 +442,8 @@ class ShelterModel:
             self._depart(youth, Departure.LEFT_UNSERVED)
 
     def _depart(self, youth: Youth, kind: Departure) -> None:
-        youth.departure = kind
         if youth.counted:
+            self.counters.still_in_system -= 1
             if kind is Departure.SERVED_THEN_LEFT:
                 self.counters.served_then_left += 1
             else:
@@ -487,9 +456,3 @@ class ShelterModel:
         for name, units in youth.held_units.items():
             self.services[name].release(youth.id, units)
         youth.held_units.clear()
-        if self.collect_outcomes:
-            self.outcomes.append(YouthOutcome(
-                youth.id, youth.kind, youth.bed_outcome, youth.bed_wait,
-                dict(youth.service_outcomes), dict(youth.service_waits),
-                kind, self.sim.now,
-            ))

@@ -58,14 +58,12 @@ def scripted_youth(youth_id: int, kind: str, los: float, service_patience: float
 
 
 def scripted_model(bed_capacity: int, services: list[tuple[str, int]],
-                   admissions: list[tuple[float, Youth]],
-                   collect_outcomes: bool = True):
+                   admissions: list[tuple[float, Youth]]):
     """A shelter with no arrival process, fed the given (time, youth) list."""
     sim = Simulator()
     specs = [ServiceSpec(name, cap, 1.0, 1, max(1, cap)) for name, cap in services]
     trace: list = []
-    model = ShelterModel(sim, bed_capacity, specs, trace=trace,
-                         collect_outcomes=collect_outcomes)
+    model = ShelterModel(sim, bed_capacity, specs, trace=trace)
     for t, youth in admissions:
         sim.schedule(t, model.admit, youth)
     return sim, model, trace

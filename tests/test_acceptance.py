@@ -18,6 +18,7 @@ from sheltersim.distributions import TriangularParams, sample_triangular
 from sheltersim.experiment import (
     ScenarioConfig,
     arrival_log,
+    available_cpus,
     run_replication_traced,
     run_scenario,
     sweep,
@@ -48,16 +49,20 @@ def baseline():
     return summary, elapsed
 
 
+# The sweeps use every CPU: their results do not depend on the worker count
+# (test_sweep_grid_matches_per_value_scenarios). The baseline stays serial for
+# the time gate of criterion 1.
 @pytest.fixture(scope="module")
 def bed_sweep():
     config = replace(ScenarioConfig(), replications=SWEEP_REPLICATIONS)
-    return sweep(config, "bed_capacity", list(range(66, 107, 5)))
+    return sweep(config, "bed_capacity", list(range(66, 107, 5)), jobs=available_cpus())
 
 
 @pytest.fixture(scope="module")
 def psych_sweep():
     config = replace(ScenarioConfig(), replications=SWEEP_REPLICATIONS)
-    return sweep(config, "service:psychiatric", list(range(56, 169, 16)))
+    return sweep(config, "service:psychiatric", list(range(56, 169, 16)),
+                 jobs=available_cpus())
 
 
 def test_criterion_1_baseline_flow_counts(baseline):

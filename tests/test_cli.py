@@ -12,9 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheltersim.cli import main, parse_values
-from sheltersim.experiment import ConfigError, ScenarioConfig
+from sheltersim.experiment import MAX_GRID_PAIRS, ConfigError, ScenarioConfig
 from support import mini_config
 
 FAST_OVERRIDES = [
@@ -41,6 +43,9 @@ def test_validate_shipped_config(capsys):
     printed = json.loads(capsys.readouterr().out)
     # Round trip: the printed effective config hashes to the same digest.
     assert ScenarioConfig.from_dict(printed).digest() == ScenarioConfig().digest()
+    # The README points to this file as the list of defaults.
+    shipped = json.loads(Path("configs/baseline.json").read_text(encoding="utf-8"))
+    assert shipped == ScenarioConfig().to_dict()
 
 
 def test_validate_rejects_bad_probability(capsys):
@@ -155,6 +160,9 @@ def test_sweep_rejects_bad_values(tmp_path, capsys):
                    "--out", str(out)) == 2
     assert run_cli("sweep", "--param", "staff", "--values", "1,2",
                    "--out", str(out)) == 2
+    assert run_cli("sweep", "--param", "bed_capacity", "--values", "0:10000000000",
+                   "--out", str(out)) == 2
+    assert run_cli("simulate", "--reps", str(MAX_GRID_PAIRS + 1), "--out", str(out)) == 2
     assert not out.exists()
 
 
@@ -177,6 +185,23 @@ def test_parse_values_forms():
         parse_values("1:10:0")
     with pytest.raises(ConfigError):
         parse_values("1:2:3:4")
+    # The value count is checked before any list is built.
+    assert len(parse_values("2:200000:2")) == MAX_GRID_PAIRS
+    for text in ("1:100001", "0:10000000000", f"0:{10 ** 40}"):
+        with pytest.raises(ConfigError, match="above the limit of 100,000"):
+            parse_values(text)
+
+
+@given(st.text() | st.from_regex(r"-?\d{1,7}(:-?\d{1,7}){1,3}|-?\d{1,3}(,-?\d{1,3}){0,5}",
+                                 fullmatch=True))
+@settings(max_examples=300, deadline=None)
+def test_parse_values_accepts_or_rejects_cleanly(text):
+    try:
+        values = parse_values(text)
+    except ConfigError:
+        return
+    assert 1 <= len(values) <= MAX_GRID_PAIRS
+    assert all(isinstance(v, int) for v in values)
 
 
 def test_config_file_with_set_and_flags(tmp_path, capsys):
@@ -254,10 +279,18 @@ def test_cli_run_never_imports_scipy(tmp_path):
     ("annual_arrivals=true", "annual_arrivals"),
     ("bsy_fraction=false", "bsy_fraction"),
     ("services.psychiatric.request_prob=true", "services[3].request_prob"),
+    ("bed_capacity=true", "bed_capacity"),
+    ("annual_arrivals=1" + "0" * 400, "annual_arrivals"),
+    ("annual_arrivals=" + "9" * 5000, "annual_arrivals"),
+    ('annual_arrivals="1399"', "annual_arrivals"),
+    ('bed_capacity="66"', "bed_capacity"),
+    ("services.medical.name=5", "services[4].name"),
 ])
 def test_boolean_in_number_field_exits_2(assignment, field, capsys):
+    # A service name must be a JSON string; every other field here a number.
+    kind = "string" if field.endswith(".name") else "number"
     assert run_cli("validate", "--set", assignment) == 2
-    assert f"config error: {field}: must be a number" in capsys.readouterr().err
+    assert f"config error: {field}: must be a {kind}" in capsys.readouterr().err
 
 
 def test_expected_arrivals_limit(capsys):

@@ -7,10 +7,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheltersim import experiment
 from sheltersim.experiment import (
     MAX_EXPECTED_ARRIVALS,
+    MAX_GRID_PAIRS,
     ConfigError,
     ScenarioConfig,
     apply_parameter,
@@ -182,6 +185,11 @@ def test_sweep_rejects_bad_input():
         sweep(cfg, "unknown_parameter", [1, 2])
     with pytest.raises(ValueError):
         sweep(cfg, "service:chiropractic", [1, 2])
+    # Too many (value, replication) pairs fail before any list is built:
+    # ranges stand in for lists too long to allocate.
+    for values in (range(10 ** 12), range(MAX_GRID_PAIRS // cfg.replications + 1)):
+        with pytest.raises(ConfigError, match="above the limit of 100,000"):
+            sweep(cfg, "bed_capacity", values)
 
 
 def test_sweep_sets_service_capacity():
@@ -341,6 +349,11 @@ def test_expected_arrivals_bounded():
     {"renege_exit_prob": False},
     {"services": [{"name": "medical", "capacity_units": 10, "request_prob": True,
                    "appt_min": 1, "appt_max": 2}]},
+    {"bed_capacity": True},
+    {"annual_arrivals": 10 ** 400},
+    {"annual_arrivals": "1399"},
+    {"bed_capacity": "66"},
+    {"services": [{"name": "medical", "appt_max": "2"}]},
 ])
 def test_config_rejects_booleans_as_numbers(data):
     with pytest.raises(ConfigError) as excinfo:
@@ -351,5 +364,51 @@ def test_config_rejects_booleans_as_numbers(data):
 def test_invalid_window_rejected():
     errors = ScenarioConfig(stats_window_days=0.0).validation_errors()
     assert any(e.startswith("stats_window_days") for e in errors)
-    errors = ScenarioConfig(replications=0).validation_errors()
-    assert any(e.startswith("replications") for e in errors)
+    for replications in (0, MAX_GRID_PAIRS + 1):
+        errors = ScenarioConfig(replications=replications).validation_errors()
+        assert any(e.startswith("replications") for e in errors)
+    assert ScenarioConfig(replications=MAX_GRID_PAIRS).validation_errors() == []
+
+
+# JSON values of every kind, at the extremes a config file or --set can hold.
+numbers = (st.integers(min_value=-10 ** 400, max_value=10 ** 400)
+           | st.floats(allow_nan=True, allow_infinity=True))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=8) | numbers,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def shaped_like(default):
+    """JSON values of the kind a field with this ``to_dict`` value takes,
+    mixed with values of any kind."""
+    if isinstance(default, list):
+        entry = st.fixed_dictionaries({}, optional={
+            key: shaped_like(value) for key, value in default[0].items()})
+        kind = st.lists(entry | json_values, max_size=3)
+    elif isinstance(default, bool):
+        kind = st.booleans()
+    elif isinstance(default, str):
+        kind = st.text(max_size=8)
+    else:
+        kind = numbers
+    return kind | json_values
+
+
+config_dicts = st.fixed_dictionaries({}, optional={
+    key: shaped_like(value) for key, value in ScenarioConfig().to_dict().items()})
+
+
+@given(config_dicts)
+@settings(max_examples=300, deadline=None)
+def test_from_dict_accepts_or_rejects_cleanly(data):
+    # Any JSON object over the declared keys gives a ConfigError or a config
+    # that validates without raising and survives a round trip. Runs no
+    # replication, to keep the suite fast.
+    try:
+        config = ScenarioConfig.from_dict(data)
+    except ConfigError:
+        return
+    assert isinstance(config.validation_errors(), list)
+    assert ScenarioConfig.from_dict(config.to_dict()).digest() == config.digest()

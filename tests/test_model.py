@@ -5,10 +5,7 @@ import math
 
 from sheltersim.experiment import build_streams, run_replication_traced
 from sheltersim.model import (
-    BedOutcome,
-    Departure,
     Population,
-    ServiceOutcome,
     ServiceSpec,
     ShelterModel,
     assign_attributes,
@@ -115,10 +112,8 @@ def test_uncontended_youth_gets_everything_at_wait_zero():
     sim.run_until(100.0)
     waits = [e[4] for e in trace if e[0] == "service_grant"]
     assert waits == [0.0, 0.0]
-    assert youth.bed_outcome is BedOutcome.GRANTED
-    assert youth.bed_wait == 0.0
-    assert youth.departure is Departure.SERVED_THEN_LEFT
-    assert ("depart", 40.0, 1, "served_then_left") in trace
+    assert ("bed_grant", 0.0, 1, 0.0) in trace
+    assert [e for e in trace if e[0] == "depart"] == [("depart", 40.0, 1, "served_then_left")]
     assert model.beds.busy == 0
     assert all(res.busy == 0 for res in model.services.values())
 
@@ -131,8 +126,7 @@ def test_all_reneged_service_only_youth_leaves_unserved():
     sim, model, trace = scripted_model(0, [("psychiatric", 2)],
                                        [(0.0, blocker), (1.0, victim)])
     sim.run_until(100.0)
-    assert victim.departure is Departure.LEFT_UNSERVED
-    assert victim.service_outcomes["psychiatric"] is ServiceOutcome.RENEGED
+    assert ("service_renege", 4.0, 2, "psychiatric") in trace
     # Leaves at the renege instant, holding nothing.
     assert ("depart", 4.0, 2, "left_unserved") in trace
     assert model.services["psychiatric"].held_by(2) == 0
@@ -143,7 +137,7 @@ def test_bed_granted_all_bypassed_stays_full_los():
                            needs={"psychiatric": 0}, bed_patience=5.0, age="16-20")
     sim, model, trace = scripted_model(2, [("psychiatric", 5)], [(2.0, youth)])
     sim.run_until(100.0)
-    assert youth.service_outcomes["psychiatric"] is ServiceOutcome.BYPASSED
+    assert ("service_bypass", 2.0, 1, "psychiatric") in trace
     assert ("depart", 35.0, 1, "served_then_left") in trace
 
 
@@ -175,22 +169,22 @@ def test_bed_renege_split_exit_and_stay():
     sim, model, trace = scripted_model(1, [("case_management", 10)],
                                        [(0.0, holder), (1.0, leaver), (2.0, stayer)])
     sim.run_until(100.0)
-    assert leaver.bed_outcome is BedOutcome.RENEGED_EXIT
-    assert leaver.departure is Departure.LEFT_UNSERVED
+    assert ("bed_renege", 5.0, 2, "exit") in trace
     assert ("depart", 5.0, 2, "left_unserved") in trace
-    assert leaver.service_outcomes == {}
+    assert not [e for e in trace if e[0].startswith("service_") and e[2] == 2]
 
-    assert stayer.bed_outcome is BedOutcome.RENEGED_STAYED
+    assert ("bed_renege", 8.0, 3, "stay") in trace
     # Stays on as a service user with the original stay length: 2 + 40.
-    assert stayer.service_outcomes["case_management"] is ServiceOutcome.GRANTED
+    assert ("service_grant", 8.0, 3, "case_management", 0.0) in trace
     assert ("depart", 42.0, 3, "served_then_left") in trace
 
 
 def test_renege_to_stay_can_redraw_stay_length():
     sim = Simulator()
     specs = [ServiceSpec("case_management", 10, 1.0, 1, 4)]
+    trace: list = []
     model = ShelterModel(sim, 1, specs, redraw_los_on_bed_renege=True,
-                         streams=_streams(99), collect_outcomes=True)
+                         streams=_streams(99), trace=trace)
     holder = scripted_youth(1, "bed_seeking", los=200.0, service_patience=9.0,
                             needs={"case_management": 1}, bed_patience=5.0,
                             age="21-24")
@@ -202,7 +196,7 @@ def test_renege_to_stay_can_redraw_stay_length():
     sim.run_until(300.0)
     # The redrawn stay comes from the service-only row, far below 170 days.
     assert 7.0 <= stayer.length_of_stay <= 30.0
-    assert stayer.departure is Departure.SERVED_THEN_LEFT
+    assert ("depart", 1.0 + stayer.length_of_stay, 2, "served_then_left") in trace
 
 
 def test_no_arrivals_at_zero_rate():
@@ -249,9 +243,10 @@ def test_conservation_after_drain():
     population = draw_population(
         list(cfg.services), cfg.annual_arrivals, cfg.bsy_fraction,
         cfg.age_16_20_fraction, cfg.renege_exit_prob, streams, 200.0)
+    trace: list = []
     model = ShelterModel(
         sim, cfg.bed_capacity, list(cfg.services), population=population,
-        streams=streams, collect_outcomes=True,
+        streams=streams, trace=trace,
     )
     model.reset_statistics()
     model.start()
@@ -265,9 +260,7 @@ def test_conservation_after_drain():
         s = res.stats
         assert s.request_count == len(s.served_waits) + s.renege_count, name
     # Every recorded served wait obeys the youth's patience.
-    for outcome in model.outcomes:
-        if outcome.bed_wait is not None:
-            assert outcome.bed_wait >= 0.0
+    assert all(e[3] >= 0.0 for e in trace if e[0] == "bed_grant")
 
 
 def test_bed_renege_exit_fraction_matches_coin():
@@ -296,21 +289,14 @@ def test_each_youth_departs_exactly_once():
 
 
 def test_left_unserved_iff_holding_nothing():
-    stats, trace, outcomes = run_replication_traced(mini_config(), 0,
-                                                    collect_outcomes=True)
-    for record in outcomes:
-        held_any = (record.bed_outcome is BedOutcome.GRANTED or
-                    any(v is ServiceOutcome.GRANTED
-                        for v in record.service_outcomes.values()))
-        if record.departure is Departure.LEFT_UNSERVED:
-            assert not held_any
-        else:
-            assert held_any
-        # A wait is recorded exactly for the granted sign-ups.
-        granted = {name for name, v in record.service_outcomes.items()
-                   if v is ServiceOutcome.GRANTED}
-        assert set(record.service_waits) == granted
-        assert all(w >= 0.0 for w in record.service_waits.values())
+    stats, trace = run_replication_traced(mini_config(), 0)
+    granted = {e[2] for e in trace if e[0] in ("bed_grant", "service_grant")}
+    departs = [e for e in trace if e[0] == "depart"]
+    assert departs
+    for _, _, youth_id, kind in departs:
+        assert (kind == "left_unserved") == (youth_id not in granted)
+    # Every grant carries its wait.
+    assert all(e[-1] >= 0.0 for e in trace if e[0] in ("bed_grant", "service_grant"))
 
 
 def test_randomized_scripted_scenarios_keep_invariants():
