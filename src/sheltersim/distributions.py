@@ -9,7 +9,7 @@ which is also monotone in u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -19,12 +19,22 @@ class TriangularParams:
     low: float
     mode: float
     high: float
+    # Derived once for ``sample_triangular``: the support's width, the widths
+    # on either side of the mode, and the CDF at the mode.
+    span: float = field(init=False, repr=False, compare=False)
+    left: float = field(init=False, repr=False, compare=False)
+    right: float = field(init=False, repr=False, compare=False)
+    cut: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.low <= self.mode <= self.high):
             raise ValueError(f"triangular needs low <= mode <= high, got {self}")
         if not self.low < self.high:
             raise ValueError(f"triangular needs low < high, got {self}")
+        object.__setattr__(self, "span", self.high - self.low)
+        object.__setattr__(self, "left", self.mode - self.low)
+        object.__setattr__(self, "right", self.high - self.mode)
+        object.__setattr__(self, "cut", self.left / self.span)
 
     @property
     def mean(self) -> float:
@@ -49,13 +59,11 @@ class ExponentialParams:
 
 def sample_triangular(p: TriangularParams, u: float) -> float:
     """Inverse-CDF draw from a triangular distribution. Requires 0 <= u < 1."""
-    span = p.high - p.low
-    cut = (p.mode - p.low) / span
     # Rounding can carry x across the mode (or, at the ends, the support);
     # keeping each branch on its own side of the mode keeps x monotone in u.
-    if u < cut:
-        return min(p.low + math.sqrt(u * span * (p.mode - p.low)), p.mode)
-    return max(p.high - math.sqrt((1.0 - u) * span * (p.high - p.mode)), p.mode)
+    if u < p.cut:
+        return min(p.low + math.sqrt(u * p.span * p.left), p.mode)
+    return max(p.high - math.sqrt((1.0 - u) * p.span * p.right), p.mode)
 
 
 def sample_exponential(p: ExponentialParams, u: float) -> float:

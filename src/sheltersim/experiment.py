@@ -46,6 +46,10 @@ STREAM_NAMES = ("arrivals", "attributes", "needs", "redraw")
 # replications expect about 2.8k arrivals.
 MAX_EXPECTED_ARRIVALS = 1e6
 
+# Bound on every pool's capacity (bed units, monthly appointments), far above
+# any shelter and well inside float range, where utilization divides by it.
+MAX_CAPACITY_UNITS = 10 ** 9
+
 # Bound on the (value, replication) pairs one command runs, and so on its
 # lists of pairs and of kept records (about 2.5 KB per replication).
 MAX_GRID_PAIRS = 10 ** 5
@@ -90,6 +94,8 @@ class ScenarioConfig:
             return errors
         if self.bed_capacity < 0 or int(self.bed_capacity) != self.bed_capacity:
             errors.append("bed_capacity: must be a non-negative integer")
+        elif self.bed_capacity > MAX_CAPACITY_UNITS:
+            errors.append(f"bed_capacity: must be at most {MAX_CAPACITY_UNITS:,}")
         if self.bsy_fraction > 0 and self.bed_capacity < 1:
             errors.append("bed_capacity: must be >= 1 when bsy_fraction > 0 "
                           "(bed requests could never be satisfied)")
@@ -100,6 +106,9 @@ class ScenarioConfig:
             errors.append("services: names must be unique")
         for i, spec in enumerate(self.services):
             errors.extend(spec.validation_errors(path=f"services[{i}]."))
+            if spec.capacity_units > MAX_CAPACITY_UNITS:
+                errors.append(f"services[{i}].capacity_units: must be at most "
+                              f"{MAX_CAPACITY_UNITS:,}")
         if self.annual_arrivals < 0:
             errors.append("annual_arrivals: must be >= 0")
         for name in ("bsy_fraction", "age_16_20_fraction", "renege_exit_prob"):
@@ -112,7 +121,10 @@ class ScenarioConfig:
             errors.append("stats_window_days: must be > 0")
         horizon = self.warmup_days + self.stats_window_days
         expected = self.annual_arrivals * horizon / DAYS_PER_YEAR
-        if expected > MAX_EXPECTED_ARRIVALS:
+        if not math.isfinite(horizon):
+            errors.append(f"warmup_days + stats_window_days: must be a finite number, "
+                          f"got {horizon}")
+        elif expected > MAX_EXPECTED_ARRIVALS:
             errors.append(
                 f"annual_arrivals x (warmup_days + stats_window_days) / {DAYS_PER_YEAR}: "
                 f"{expected:.6g} expected arrivals per replication, above the limit "

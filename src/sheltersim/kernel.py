@@ -13,21 +13,21 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 
-class EventHandle:
-    """Ticket for a scheduled callback. ``cancel()`` keeps it from firing."""
+class EventHandle(list):
+    """A calendar entry ``[time, seq, fn, args]``, handed back as the ticket
+    for the scheduled callback. ``cancel()`` keeps it from firing.
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    Entries order as lists do, by ``(time, seq)``; ``seq`` is unique, so no
+    comparison ever reaches ``fn``.
+    """
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
+    __slots__ = ()
 
     def cancel(self) -> None:
-        # Idempotent; the heap entry is skipped lazily when popped.
-        self.cancelled = True
+        # Idempotent; the entry stays in the heap and is skipped when popped,
+        # but lets go of the callback and its arguments at once.
+        self[2] = None
+        self[3] = ()
 
 
 class Simulator:
@@ -40,7 +40,7 @@ class Simulator:
 
     def __init__(self):
         self.now = 0.0
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._heap: list[EventHandle] = []
         self._seq = 0
 
     def schedule(self, time: float, fn: Callable, *args) -> EventHandle:
@@ -49,22 +49,23 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at t={time} before current clock t={self.now}"
             )
-        handle = EventHandle(time, self._seq, fn, args)
+        entry = EventHandle((time, self._seq, fn, args))
         self._seq += 1
-        heapq.heappush(self._heap, (time, handle.seq, handle))
-        return handle
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def run_until(self, t_end: float) -> float:
         """Process every event with time <= t_end; leave the clock at t_end."""
         if t_end < self.now:
             raise ValueError(f"t_end={t_end} is before current clock t={self.now}")
         heap = self._heap
+        pop = heapq.heappop
         while heap and heap[0][0] <= t_end:
-            time, _seq, handle = heapq.heappop(heap)
-            if handle.cancelled:
+            time, _seq, fn, args = pop(heap)
+            if fn is None:
                 continue
             self.now = time
-            handle.fn(*handle.args)
+            fn(*args)
         self.now = t_end
         return self.now
 
@@ -189,13 +190,20 @@ class Resource:
                 f"{self.name}: request for {units} units can never be satisfied "
                 f"(capacity {self.capacity})"
             )
-        self.stats.request_count += 1
-        if not self.queue and self.busy + units <= self.capacity:
-            self._seize(entity_id, units)
-            self.stats.served_waits.append(0.0)
+        stats = self.stats
+        stats.request_count += 1
+        now = self.sim.now
+        busy = self.busy
+        if not self.queue and busy + units <= self.capacity:
+            if now > self._last_ts:
+                stats.busy_time_integral += busy * (now - self._last_ts)
+                self._last_ts = now
+            self.busy = busy + units
+            held = self._held
+            held[entity_id] = held.get(entity_id, 0) + units
+            stats.served_waits.append(0.0)
             on_grant(0.0)
             return
-        now = self.sim.now
         req = PendingRequest(entity_id, units, now, now + patience, on_grant, on_renege)
         req.timer = self.sim.schedule(req.renege_deadline, self._renege, req)
         self.queue.append(req)
@@ -207,32 +215,43 @@ class Resource:
             raise ValueError(
                 f"{self.name}: entity {entity_id} holds {held} units, cannot release {units}"
             )
-        self._advance_integral()
+        now = self.sim.now
+        if now > self._last_ts:
+            self.stats.busy_time_integral += self.busy * (now - self._last_ts)
+            self._last_ts = now
         self.busy -= units
         if held == units:
             del self._held[entity_id]
         else:
             self._held[entity_id] = held - units
-        self._dispatch()
-
-    def _seize(self, entity_id, units: int) -> None:
-        self._advance_integral()
-        self.busy += units
-        self._held[entity_id] = self._held.get(entity_id, 0) + units
+        if self.queue:
+            self._dispatch()
 
     def _dispatch(self) -> None:
         # Grant from the head while it fits; never look past a blocked head.
         queue = self.queue
+        if not queue or self.busy + queue[0].units > self.capacity:
+            return
+        # The clock stands still through the grants, so one advance of the
+        # integral covers them all. A grant callback may re-enter this pool
+        # (request, release, reset), so busy and stats are read afresh.
+        self._advance_integral()
+        now = self.sim.now
+        held = self._held
         while queue and self.busy + queue[0].units <= self.capacity:
             req = queue.popleft()
             req.timer.cancel()
-            self._seize(req.entity_id, req.units)
-            wait = self.sim.now - req.enqueue_time
+            self.busy += req.units
+            held[req.entity_id] = held.get(req.entity_id, 0) + req.units
+            wait = now - req.enqueue_time
             if req.counted:
                 self.stats.served_waits.append(wait)
             req.on_grant(wait)
 
     def _renege(self, req: PendingRequest) -> None:
+        # The fired timer holds ``req`` among its arguments; dropping it here
+        # spares the garbage collector a reference cycle per renege.
+        req.timer = None
         self.queue.remove(req)
         if req.counted:
             self.stats.renege_count += 1

@@ -18,7 +18,10 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
 
-from .distributions import (
+# Every sampler is importable from here, ``sample_bernoulli`` included,
+# although coins are written as the comparison ``u < p`` it makes:
+# perfbench/tracer.py times the samplers under these names.
+from .distributions import (  # noqa: F401
     ExponentialParams,
     TriangularParams,
     sample_bernoulli,
@@ -111,7 +114,13 @@ def default_services() -> list[ServiceSpec]:
 
 
 class Youth:
-    """One shelter entity with its stay attributes and in-flight state."""
+    """One shelter entity with its stay attributes and in-flight state.
+
+    ``needs`` holds the monthly appointment count of every service in the
+    model's service order, 0 for a service the youth does not use.
+    ``held_units`` lists the ``(pool, units)`` grants the youth holds, in
+    grant order.
+    """
 
     __slots__ = (
         "id", "kind", "age_group", "length_of_stay", "bed_patience",
@@ -121,7 +130,7 @@ class Youth:
 
     def __init__(self, id: int, kind: YouthKind, age_group: AgeGroup | None,
                  length_of_stay: float, bed_patience: float | None,
-                 service_patience: float, needs: dict[str, int],
+                 service_patience: float, needs: list[int],
                  exits_on_bed_renege: bool = False):
         self.id = id
         self.kind = kind
@@ -134,7 +143,7 @@ class Youth:
         self.arrival_time = 0.0
         self.counted = False
         self.bed_held = False
-        self.held_units: dict[str, int] = {}
+        self.held_units: list[tuple[Resource, int]] = []
         self.pending_services = 0
 
 
@@ -164,8 +173,9 @@ class FlowCounters:
 def build_needs_profile(specs: list[ServiceSpec], stream: RngStream) -> list[int]:
     """Draw monthly appointment counts, in service order: per service a demand
     coin, then a uniform count over the service's conditional range."""
-    return [sample_uniform_int(spec.appt_min, spec.appt_max, stream.uniform())
-            if sample_bernoulli(spec.request_prob, stream.uniform()) else 0
+    draws = stream.draws
+    return [sample_uniform_int(spec.appt_min, spec.appt_max, next(draws))
+            if next(draws) < spec.request_prob else 0
             for spec in specs]
 
 
@@ -199,7 +209,7 @@ class Population:
     def youth(self, i: int) -> Youth:
         """Youth ``i`` as the model admits it."""
         width = len(self.names)
-        needs = dict(zip(self.names, self.needs[i * width:(i + 1) * width]))
+        needs = self.needs[i * width:(i + 1) * width]
         if self.bed_seeking[i]:
             age = AgeGroup.AGE_16_20 if self.age_16_20[i] else AgeGroup.AGE_21_24
             return Youth(i, YouthKind.BED_SEEKING, age, self.length_of_stay[i],
@@ -221,23 +231,23 @@ def assign_attributes(population: Population, bed_seeking: bool,
     patience draw; the order of draws is part of the reproducibility
     contract.
     """
+    draws = attr_stream.draws
     if bed_seeking:
-        young = sample_bernoulli(age_16_20_fraction, attr_stream.uniform())
+        young = next(draws) < age_16_20_fraction
         los = sample_triangular(LOS_BED_SEEKING_16_20 if young else LOS_BED_SEEKING_21_24,
-                                attr_stream.uniform())
-        bed_patience = sample_triangular(BED_PATIENCE, attr_stream.uniform())
-        exits = sample_bernoulli(renege_exit_prob, attr_stream.uniform())
+                                next(draws))
+        bed_patience = sample_triangular(BED_PATIENCE, next(draws))
+        exits = next(draws) < renege_exit_prob
     else:
         young = exits = False
-        los = sample_triangular(LOS_SERVICE_ONLY, attr_stream.uniform())
+        los = sample_triangular(LOS_SERVICE_ONLY, next(draws))
         bed_patience = 0.0
     population.bed_seeking.append(bed_seeking)
     population.age_16_20.append(young)
     population.exits.append(exits)
     population.length_of_stay.append(los)
     population.bed_patience.append(bed_patience)
-    population.service_patience.append(
-        sample_triangular(SERVICE_PATIENCE, attr_stream.uniform()))
+    population.service_patience.append(sample_triangular(SERVICE_PATIENCE, next(draws)))
     population.needs.extend(build_needs_profile(specs, needs_stream))
 
 
@@ -257,11 +267,13 @@ def draw_population(specs: list[ServiceSpec], annual_arrivals: float,
     if annual_arrivals <= 0:
         return population
     gap = ExponentialParams(DAYS_PER_YEAR / annual_arrivals)
-    arrivals, attr, needs = streams["arrivals"], streams["attributes"], streams["needs"]
+    attr, needs = streams["attributes"], streams["needs"]
+    arrival_draws, attr_draws = streams["arrivals"].draws, attr.draws
+    append_time = population.times.append
     t = 0.0
-    while (t := t + sample_exponential(gap, 1.0 - arrivals.uniform())) <= horizon:
-        population.times.append(t)
-        assign_attributes(population, sample_bernoulli(bsy_fraction, attr.uniform()),
+    while (t := t + sample_exponential(gap, 1.0 - next(arrival_draws))) <= horizon:
+        append_time(t)
+        assign_attributes(population, next(attr_draws) < bsy_fraction,
                           age_16_20_fraction, renege_exit_prob, specs, attr, needs)
     return population
 
@@ -293,9 +305,10 @@ class ShelterModel:
                  streams: dict[str, RngStream] | None = None,
                  trace: list | None = None):
         self.sim = sim
-        self.specs = list(services)
         self.beds = Resource(sim, BED_RESOURCE, bed_capacity)
-        self.services = {s.name: Resource(sim, s.name, s.capacity_units) for s in self.specs}
+        # The service pools in service order, the order of every youth's needs.
+        self.service_pools = [Resource(sim, s.name, s.capacity_units) for s in services]
+        self.services = {pool.name: pool for pool in self.service_pools}
         self.population = population
         self.redraw_los_on_bed_renege = redraw_los_on_bed_renege
         self.streams = streams
@@ -334,6 +347,11 @@ class ShelterModel:
         self.admit(self.population.youth(i))
         if self._next_id < len(self.population):
             self.sim.schedule(self.population.times[self._next_id], self._arrive)
+        else:
+            # The run's objects end up in reference cycles (events hold the
+            # model's methods), freed only by a full garbage collection, which
+            # comes rarely; the population need not wait with them.
+            self.population = None
 
     # -- youth process -----------------------------------------------------------
 
@@ -355,8 +373,7 @@ class ShelterModel:
                 "arrival", now, youth.id, youth.kind.value,
                 youth.age_group.value if youth.age_group else None,
                 youth.length_of_stay, youth.bed_patience, youth.service_patience,
-                tuple(youth.needs[s.name] for s in self.specs),
-                youth.exits_on_bed_renege,
+                youth.needs, youth.exits_on_bed_renege,
             ))
         if youth.kind is YouthKind.BED_SEEKING:
             if self.trace is not None:
@@ -395,40 +412,41 @@ class ShelterModel:
 
     def _start_services(self, youth: Youth) -> None:
         now = self.sim.now
-        requested = []
-        for spec in self.specs:
-            units = youth.needs[spec.name]
-            if units:
-                requested.append((spec.name, units))
-            elif self.trace is not None:
-                self.trace.append(("service_bypass", now, youth.id, spec.name))
-        youth.pending_services = len(requested)
-        if not requested:
+        trace = self.trace
+        needs = youth.needs
+        # Set before the first request, whose grant may come at once.
+        youth.pending_services = pending = len(needs) - needs.count(0)
+        if trace is not None:
+            for pool, units in zip(self.service_pools, needs):
+                if not units:
+                    trace.append(("service_bypass", now, youth.id, pool.name))
+        if not pending:
             self._batch_resolved(youth)
             return
-        for name, units in requested:
-            if self.trace is not None:
-                self.trace.append(("service_request", now, youth.id, name, units))
-            self.services[name].request(
-                youth.id, units, youth.service_patience,
-                partial(self._on_service_grant, youth, name, units),
-                partial(self._on_service_renege, youth, name),
-            )
+        for pool, units in zip(self.service_pools, needs):
+            if units:
+                if trace is not None:
+                    trace.append(("service_request", now, youth.id, pool.name, units))
+                pool.request(
+                    youth.id, units, youth.service_patience,
+                    partial(self._on_service_grant, youth, pool, units),
+                    partial(self._on_service_renege, youth, pool),
+                )
 
-    def _on_service_grant(self, youth: Youth, name: str, units: int, wait: float) -> None:
-        youth.held_units[name] = units
+    def _on_service_grant(self, youth: Youth, pool: Resource, units: int,
+                          wait: float) -> None:
+        youth.held_units.append((pool, units))
         if self.trace is not None:
-            self.trace.append(("service_grant", self.sim.now, youth.id, name, wait))
-        self._service_resolved(youth)
-
-    def _on_service_renege(self, youth: Youth, name: str) -> None:
-        if self.trace is not None:
-            self.trace.append(("service_renege", self.sim.now, youth.id, name))
-        self._service_resolved(youth)
-
-    def _service_resolved(self, youth: Youth) -> None:
+            self.trace.append(("service_grant", self.sim.now, youth.id, pool.name, wait))
         youth.pending_services -= 1
-        if youth.pending_services == 0:
+        if not youth.pending_services:
+            self._batch_resolved(youth)
+
+    def _on_service_renege(self, youth: Youth, pool: Resource) -> None:
+        if self.trace is not None:
+            self.trace.append(("service_renege", self.sim.now, youth.id, pool.name))
+        youth.pending_services -= 1
+        if not youth.pending_services:
             self._batch_resolved(youth)
 
     def _batch_resolved(self, youth: Youth) -> None:
@@ -453,6 +471,6 @@ class ShelterModel:
         if youth.bed_held:
             self.beds.release(youth.id, 1)
             youth.bed_held = False
-        for name, units in youth.held_units.items():
-            self.services[name].release(youth.id, units)
+        for pool, units in youth.held_units:
+            pool.release(youth.id, units)
         youth.held_units.clear()

@@ -9,6 +9,7 @@ repeatable and lets swept scenarios share common random numbers.
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 
 import numpy as np
 
@@ -21,29 +22,30 @@ def _name_key(name: str) -> int:
 
 
 class RngStream:
-    """Buffered uniform [0, 1) stream backed by PCG64.
+    """Uniform [0, 1) stream backed by PCG64.
 
-    Draws are consumed one at a time in a fixed order; the n-th call to
-    ``uniform()`` returns the same value no matter what happened between
-    calls elsewhere.
+    ``draws`` is the stream's one position: an iterator over the generator's
+    doubles, filled a block at a time. Hot loops call ``next(stream.draws)``;
+    ``uniform()`` is the same step as a method, so the two can be mixed and
+    the n-th draw is the same value either way.
     """
 
-    __slots__ = ("name", "_gen", "_buf", "_pos")
+    __slots__ = ("name", "draws")
 
     def __init__(self, master_seed: int, replication: int, name: str):
         if master_seed < 0 or replication < 0:
             raise ValueError("master_seed and replication must be non-negative")
         self.name = name
         seq = np.random.SeedSequence([int(master_seed), int(replication), _name_key(name)])
-        self._gen = np.random.Generator(np.random.PCG64(seq))
-        self._buf: list[float] = []
-        self._pos = 0
+        self.draws = chain.from_iterable(_blocks(np.random.Generator(np.random.PCG64(seq))))
 
     def uniform(self) -> float:
         """Next draw in [0, 1)."""
-        if self._pos == len(self._buf):
-            self._buf = self._gen.random(_BLOCK).tolist()
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
+        return next(self.draws)
+
+
+def _blocks(gen: np.random.Generator):
+    # PCG64 doubles do not depend on the block size, so neither does the
+    # draw sequence.
+    while True:
+        yield gen.random(_BLOCK).tolist()

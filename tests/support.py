@@ -50,7 +50,8 @@ def mini_config(**overrides) -> ScenarioConfig:
 def scripted_youth(youth_id: int, kind: str, los: float, service_patience: float,
                    needs: dict[str, int], bed_patience: float | None = None,
                    age: str | None = None, exits: bool = False) -> Youth:
-    """Build a youth with fixed attributes instead of drawn ones."""
+    """Build a youth with fixed attributes instead of drawn ones; see
+    ``scripted_model`` for how ``needs`` reaches the model."""
     kind_enum = YouthKind.BED_SEEKING if kind == "bed_seeking" else YouthKind.SERVICE_ONLY
     age_enum = {None: None, "16-20": AgeGroup.AGE_16_20, "21-24": AgeGroup.AGE_21_24}[age]
     return Youth(youth_id, kind_enum, age_enum, los, bed_patience,
@@ -58,13 +59,18 @@ def scripted_youth(youth_id: int, kind: str, los: float, service_patience: float
 
 
 def scripted_model(bed_capacity: int, services: list[tuple[str, int]],
-                   admissions: list[tuple[float, Youth]]):
-    """A shelter with no arrival process, fed the given (time, youth) list."""
+                   admissions: list[tuple[float, Youth]], **options):
+    """A shelter with no arrival process, fed the given (time, youth) list.
+
+    Each youth's needs, given as a dict by service name, become the list in
+    service order that the model reads. ``options`` go to ``ShelterModel``.
+    """
     sim = Simulator()
     specs = [ServiceSpec(name, cap, 1.0, 1, max(1, cap)) for name, cap in services]
     trace: list = []
-    model = ShelterModel(sim, bed_capacity, specs, trace=trace)
+    model = ShelterModel(sim, bed_capacity, specs, trace=trace, **options)
     for t, youth in admissions:
+        youth.needs = [youth.needs[name] for name, _ in services]
         sim.schedule(t, model.admit, youth)
     return sim, model, trace
 

@@ -59,6 +59,11 @@ def test_validate_rejects_appointments_beyond_capacity(capsys):
     code = run_cli("validate", "--set", "services.insurance_enrollment.appt_max=50")
     assert code == 2
     assert "appt_max" in capsys.readouterr().err
+    # Capacities stay well inside float range: utilization divides by them.
+    huge = "1" + "0" * 400
+    for path in ("bed_capacity", "services.medical.capacity_units"):
+        assert run_cli("validate", "--set", f"{path}={huge}") == 2
+        assert "must be at most 1,000,000,000" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2_without_outputs(tmp_path, capsys):
@@ -163,6 +168,11 @@ def test_sweep_rejects_bad_values(tmp_path, capsys):
     assert run_cli("sweep", "--param", "bed_capacity", "--values", "0:10000000000",
                    "--out", str(out)) == 2
     assert run_cli("simulate", "--reps", str(MAX_GRID_PAIRS + 1), "--out", str(out)) == 2
+    assert run_cli("simulate", "--set", "bed_capacity=1" + "0" * 400, "--out", str(out)) == 2
+    assert run_cli("sweep", "--param", "bed_capacity", "--values", "66,1000000001",
+                   "--out", str(out)) == 2
+    assert run_cli("sweep", "--param", "service:medical", "--values", "1" + "0" * 400,
+                   "--out", str(out)) == 2
     assert not out.exists()
 
 
@@ -302,6 +312,10 @@ def test_expected_arrivals_limit(capsys):
     assert run_cli("validate", *at_limit, "--set", "annual_arrivals=1000000.5") == 2
     assert "expected arrivals per replication" in capsys.readouterr().err
     assert run_cli("validate", "--set", "warmup_days=1e12") == 2
+    capsys.readouterr()
+    assert run_cli("validate", "--set", "annual_arrivals=0", "--set", "warmup_days=1e308",
+                   "--set", "stats_window_days=1e308") == 2
+    assert "warmup_days + stats_window_days: must be a finite number" in capsys.readouterr().err
 
 
 def test_sweep_with_invalid_last_value_runs_nothing(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sheltersim import experiment
 from sheltersim.experiment import (
+    MAX_CAPACITY_UNITS,
     MAX_EXPECTED_ARRIVALS,
     MAX_GRID_PAIRS,
     ConfigError,
@@ -309,6 +310,15 @@ def test_config_validation_reports_field_paths():
     errors = ScenarioConfig(services=tuple(services)).validation_errors()
     assert any("appt_max" in e and "services[2]" in e for e in errors)
 
+    assert ScenarioConfig(bed_capacity=MAX_CAPACITY_UNITS).validation_errors() == []
+    for capacity in (MAX_CAPACITY_UNITS + 1, 10 ** 400):
+        assert ScenarioConfig(bed_capacity=capacity).validation_errors() == [
+            f"bed_capacity: must be at most {MAX_CAPACITY_UNITS:,}"]
+        services = list(ScenarioConfig().services)
+        services[4] = replace(services[4], capacity_units=capacity)
+        assert ScenarioConfig(services=tuple(services)).validation_errors() == [
+            f"services[4].capacity_units: must be at most {MAX_CAPACITY_UNITS:,}"]
+
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["annual_arrivals", "bsy_fraction", "age_16_20_fraction",
@@ -342,6 +352,10 @@ def test_expected_arrivals_bounded():
     [error] = above.validation_errors()
     assert "1e+06 expected arrivals per replication" in error
     assert ScenarioConfig(warmup_days=1e12).validation_errors()
+    # A horizon that overflows to infinity, with no arrivals to bound it.
+    [error] = ScenarioConfig(annual_arrivals=0.0, warmup_days=1e308,
+                             stats_window_days=1e308).validation_errors()
+    assert error == "warmup_days + stats_window_days: must be a finite number, got inf"
 
 
 @pytest.mark.parametrize("data", [

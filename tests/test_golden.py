@@ -1,5 +1,6 @@
 """Golden digests: pin the bytes of a small fixed-seed simulate CSV and sweep
-CSV, and the first draws of every named stream.
+CSV, the drawn populations of two replications, and the first draws of every
+named stream.
 
 These back the claim that identical config and seed give identical results on
 any platform. numpy does not promise that ``Generator`` streams stay the same
@@ -13,7 +14,8 @@ import io
 import numpy as np
 
 from sheltersim.cli import write_scenario_csv, write_sweep_csv
-from sheltersim.experiment import STREAM_NAMES, run_scenario, sweep
+from sheltersim.experiment import STREAM_NAMES, build_streams, run_scenario, sweep
+from sheltersim.model import draw_population
 from sheltersim.streams import RngStream
 from support import mini_config
 
@@ -21,6 +23,11 @@ DIGESTS_NUMPY = "2.4.6"
 
 SIMULATE_SHA256 = "9246b0ac11d13d4ac7efc58e753784f2c308825a07bfcd58cd9f5721878241b1"
 SWEEP_SHA256 = "4dd7ed31db20d8481a09d150bd090744675eae924de3012651ce16c57845a554"
+
+# Every column of the populations of replications 0 and 1.
+POPULATION_SHA256 = "8ccd92162804b8b6c31adceb4d669b0106e6c6be4ea7fd652025eb34123c878f"
+POPULATION_COLUMNS = ("times", "bed_seeking", "age_16_20", "exits", "length_of_stay",
+                      "bed_patience", "service_patience", "needs")
 
 # First five draws of each stream for (master seed 777, replication 0).
 FIRST_DRAWS = {
@@ -56,6 +63,20 @@ def test_sweep_csv_digest():
     results = sweep(mini_config(replications=3), "bed_capacity", [6, 10])
     write_sweep_csv(buf, "bed_capacity", results)
     assert _sha256(buf.getvalue()) == SWEEP_SHA256, _provenance("sweep CSV")
+
+
+def test_population_digest():
+    cfg = mini_config()
+    digest = hashlib.sha256()
+    for replication in (0, 1):
+        population = draw_population(
+            list(cfg.services), cfg.annual_arrivals, cfg.bsy_fraction,
+            cfg.age_16_20_fraction, cfg.renege_exit_prob,
+            build_streams(cfg.master_seed, replication),
+            cfg.warmup_days + cfg.stats_window_days)
+        for name in POPULATION_COLUMNS:
+            digest.update(repr(list(getattr(population, name))).encode("utf-8"))
+    assert digest.hexdigest() == POPULATION_SHA256, _provenance("population")
 
 
 def test_first_draws_of_every_stream():

@@ -180,19 +180,15 @@ def test_bed_renege_split_exit_and_stay():
 
 
 def test_renege_to_stay_can_redraw_stay_length():
-    sim = Simulator()
-    specs = [ServiceSpec("case_management", 10, 1.0, 1, 4)]
-    trace: list = []
-    model = ShelterModel(sim, 1, specs, redraw_los_on_bed_renege=True,
-                         streams=_streams(99), trace=trace)
     holder = scripted_youth(1, "bed_seeking", los=200.0, service_patience=9.0,
                             needs={"case_management": 1}, bed_patience=5.0,
                             age="21-24")
     stayer = scripted_youth(2, "bed_seeking", los=170.0, service_patience=9.0,
                             needs={"case_management": 1}, bed_patience=4.0,
                             age="21-24", exits=False)
-    sim.schedule(0.0, model.admit, holder)
-    sim.schedule(1.0, model.admit, stayer)
+    sim, model, trace = scripted_model(
+        1, [("case_management", 10)], [(0.0, holder), (1.0, stayer)],
+        redraw_los_on_bed_renege=True, streams=_streams(99))
     sim.run_until(300.0)
     # The redrawn stay comes from the service-only row, far below 170 days.
     assert 7.0 <= stayer.length_of_stay <= 30.0

@@ -32,12 +32,18 @@ def test_distinct_replications_diverge():
 
 def test_buffering_matches_raw_generator():
     # The block-buffered draws must reproduce the plain generator sequence,
-    # across block boundaries.
+    # across block boundaries, whether read through ``uniform()``, through
+    # ``next(stream.draws)``, or through both in turn: they share one position.
     seed_seq = np.random.SeedSequence([123, 4, _name_key("arrivals")])
-    raw = np.random.Generator(np.random.PCG64(seed_seq)).random(1300)
+    raw = np.random.Generator(np.random.PCG64(seed_seq)).random(1300).tolist()
     stream = RngStream(123, 4, "arrivals")
-    mine = [stream.uniform() for _ in range(1300)]
-    assert mine == raw.tolist()
+    assert [stream.uniform() for _ in range(1300)] == raw
+
+    # One draw in three through ``uniform()``: the two ways take turns on
+    # both sides of every 512-draw block edge.
+    stream = RngStream(123, 4, "arrivals")
+    mixed = [stream.uniform() if i % 3 == 0 else next(stream.draws) for i in range(1300)]
+    assert mixed == raw
 
 
 def test_draws_are_half_open_unit_interval():
