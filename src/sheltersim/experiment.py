@@ -419,16 +419,15 @@ def replication_population(config: ScenarioConfig, replication: int,
 
 def _collect(config: ScenarioConfig, replication: int, model: ShelterModel,
              horizon: float) -> ReplicationStats:
-    window = (config.warmup_days, horizon)
     resources = {}
-    for name, res in model.all_resources().items():
+    for res in model.pools:
         s = res.stats
         waits = s.served_waits
         if res.capacity > 0 and horizon > config.warmup_days:
-            utilization = res.utilization(*window)
+            utilization = res.utilization()
         else:
             utilization = None
-        resources[name] = ResourceWindowStats(
+        resources[res.name] = ResourceWindowStats(
             requests=s.request_count,
             served=len(waits),
             reneges=s.renege_count,
@@ -441,10 +440,12 @@ def _collect(config: ScenarioConfig, replication: int, model: ShelterModel,
                             **vars(model.counters))
 
 
-def _run(config: ScenarioConfig, replication: int,
-         trace: list | None = None) -> ReplicationStats:
-    """The one run sequence: build, start, warm up, reset the statistics,
-    run the window, collect."""
+def run_replication(config: ScenarioConfig, replication: int,
+                    trace: list | None = None) -> ReplicationStats:
+    """Run one seeded replication: build, start, warm up, reset the
+    statistics, run the window, collect. Every event is appended to
+    ``trace`` when one is given (see ``ShelterModel``).
+    """
     streams = build_streams(config.master_seed, replication)
     sim = Simulator()
     model = ShelterModel(
@@ -458,20 +459,14 @@ def _run(config: ScenarioConfig, replication: int,
     model.reset_statistics()
     horizon = config.warmup_days + config.stats_window_days
     sim.run_until(horizon)
-    return _collect(config, replication, model, horizon)
-
-
-def run_replication(config: ScenarioConfig, replication: int) -> ReplicationStats:
-    """Run one seeded replication: warm-up, statistics reset, one window."""
-    return _run(config, replication)
-
-
-def run_replication_traced(config: ScenarioConfig,
-                           replication: int) -> tuple[ReplicationStats, list]:
-    """Like ``run_replication`` but also returns the full event trace (see
-    ``ShelterModel``). Slower; intended for verification."""
-    trace: list = []
-    return _run(config, replication, trace), trace
+    stats = _collect(config, replication, model, horizon)
+    # Pending entries hold the model's methods and queued requests hold their
+    # timers: emptying both lets reference counting free the run at once.
+    for entry in sim._heap:
+        entry.cancel()
+    for pool in model.pools:
+        pool.queue.clear()
+    return stats
 
 
 def arrival_log(trace: list) -> list:

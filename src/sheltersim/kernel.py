@@ -143,26 +143,16 @@ class Resource:
         for req in self.queue:
             req.counted = False
 
-    def utilization(self, window_start: float, window_end: float) -> float:
-        """Time-averaged fraction of units held over the window.
-
-        The busy-time integral is anchored at the last statistics reset, so
-        ``window_start`` must equal that instant and ``window_end`` must not
-        be in the future.
-        """
+    def utilization(self) -> float:
+        """Time-averaged fraction of units held from the last statistics
+        reset (or creation) to now."""
         if self.capacity == 0:
             raise ValueError(f"{self.name}: utilization undefined for zero capacity")
-        if window_end <= window_start:
-            raise ValueError("window_end must be greater than window_start")
-        if window_start != self._window_start:
-            raise ValueError(
-                f"{self.name}: busy-time integral starts at t={self._window_start}, "
-                f"not t={window_start}"
-            )
-        if window_end > self.sim.now:
-            raise ValueError("window_end is beyond the executed run")
+        window = self.sim.now - self._window_start
+        if window <= 0:
+            raise ValueError(f"{self.name}: utilization undefined for an empty window")
         self._advance_integral()
-        return self.stats.busy_time_integral / (self.capacity * (window_end - window_start))
+        return self.stats.busy_time_integral / (self.capacity * window)
 
     # -- holdings ----------------------------------------------------------
 

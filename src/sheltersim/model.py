@@ -118,14 +118,14 @@ class Youth:
 
     ``needs`` holds the monthly appointment count of every service in the
     model's service order, 0 for a service the youth does not use.
-    ``held_units`` lists the ``(pool, units)`` grants the youth holds, in
-    grant order.
+    ``held`` lists the pools the youth holds units of, in grant order; the
+    unit counts are the pools' own ledger (``Resource.held_by``).
     """
 
     __slots__ = (
         "id", "kind", "age_group", "length_of_stay", "bed_patience",
         "service_patience", "needs", "arrival_time", "exits_on_bed_renege",
-        "counted", "bed_held", "held_units", "pending_services",
+        "counted", "held", "pending_services",
     )
 
     def __init__(self, id: int, kind: YouthKind, age_group: AgeGroup | None,
@@ -142,8 +142,7 @@ class Youth:
         self.exits_on_bed_renege = exits_on_bed_renege
         self.arrival_time = 0.0
         self.counted = False
-        self.bed_held = False
-        self.held_units: list[tuple[Resource, int]] = []
+        self.held: list[Resource] = []
         self.pending_services = 0
 
 
@@ -308,7 +307,8 @@ class ShelterModel:
         self.beds = Resource(sim, BED_RESOURCE, bed_capacity)
         # The service pools in service order, the order of every youth's needs.
         self.service_pools = [Resource(sim, s.name, s.capacity_units) for s in services]
-        self.services = {pool.name: pool for pool in self.service_pools}
+        # Every pool, beds first.
+        self.pools = (self.beds, *self.service_pools)
         self.population = population
         self.redraw_los_on_bed_renege = redraw_los_on_bed_renege
         self.streams = streams
@@ -322,16 +322,10 @@ class ShelterModel:
     def reset_statistics(self) -> None:
         """Start the measurement window: zero every accumulator but keep all
         in-flight youth and holdings."""
-        self.beds.reset_statistics()
-        for resource in self.services.values():
-            resource.reset_statistics()
+        for pool in self.pools:
+            pool.reset_statistics()
         self.counters = FlowCounters()
         self._stats_on = True
-
-    def all_resources(self) -> dict[str, Resource]:
-        resources = {BED_RESOURCE: self.beds}
-        resources.update(self.services)
-        return resources
 
     # -- arrivals --------------------------------------------------------------
 
@@ -347,11 +341,6 @@ class ShelterModel:
         self.admit(self.population.youth(i))
         if self._next_id < len(self.population):
             self.sim.schedule(self.population.times[self._next_id], self._arrive)
-        else:
-            # The run's objects end up in reference cycles (events hold the
-            # model's methods), freed only by a full garbage collection, which
-            # comes rarely; the population need not wait with them.
-            self.population = None
 
     # -- youth process -----------------------------------------------------------
 
@@ -387,7 +376,7 @@ class ShelterModel:
             self._start_services(youth)
 
     def _on_bed_grant(self, youth: Youth, wait: float) -> None:
-        youth.bed_held = True
+        youth.held.append(self.beds)
         if self.trace is not None:
             self.trace.append(("bed_grant", self.sim.now, youth.id, wait))
         self._start_services(youth)
@@ -429,13 +418,12 @@ class ShelterModel:
                     trace.append(("service_request", now, youth.id, pool.name, units))
                 pool.request(
                     youth.id, units, youth.service_patience,
-                    partial(self._on_service_grant, youth, pool, units),
+                    partial(self._on_service_grant, youth, pool),
                     partial(self._on_service_renege, youth, pool),
                 )
 
-    def _on_service_grant(self, youth: Youth, pool: Resource, units: int,
-                          wait: float) -> None:
-        youth.held_units.append((pool, units))
+    def _on_service_grant(self, youth: Youth, pool: Resource, wait: float) -> None:
+        youth.held.append(pool)
         if self.trace is not None:
             self.trace.append(("service_grant", self.sim.now, youth.id, pool.name, wait))
         youth.pending_services -= 1
@@ -453,7 +441,7 @@ class ShelterModel:
         # A youth holding nothing at the end of sign-up leaves right away;
         # everyone else stays for their assigned length of stay (or until
         # sign-up resolved, whichever is later).
-        if youth.bed_held or youth.held_units:
+        if youth.held:
             depart_at = max(youth.arrival_time + youth.length_of_stay, self.sim.now)
             self.sim.schedule(depart_at, self._depart, youth, Departure.SERVED_THEN_LEFT)
         else:
@@ -468,9 +456,6 @@ class ShelterModel:
                 self.counters.left_unserved += 1
         if self.trace is not None:
             self.trace.append(("depart", self.sim.now, youth.id, kind.value))
-        if youth.bed_held:
-            self.beds.release(youth.id, 1)
-            youth.bed_held = False
-        for pool, units in youth.held_units:
-            pool.release(youth.id, units)
-        youth.held_units.clear()
+        for pool in youth.held:
+            pool.release(youth.id, pool.held_by(youth.id))
+        youth.held.clear()

@@ -1,11 +1,13 @@
 """Shared helpers for the test suite: a small scaled-down scenario, scripted
-youth construction, and reusable statistical checks."""
+youth construction, JSON value strategies for fuzzing configs, and reusable
+statistical checks."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from sheltersim.distributions import (
     ExponentialParams,
@@ -73,6 +75,16 @@ def scripted_model(bed_capacity: int, services: list[tuple[str, int]],
         youth.needs = [youth.needs[name] for name, _ in services]
         sim.schedule(t, model.admit, youth)
     return sim, model, trace
+
+
+# JSON values of every kind, at the extremes a config file or --set can hold.
+numbers = (st.integers(min_value=-10 ** 400, max_value=10 ** 400)
+           | st.floats(allow_nan=True, allow_infinity=True))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=8) | numbers,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
 
 
 # -- distribution checks (3-sigma Monte Carlo bands) -----------------------------

@@ -19,7 +19,7 @@ from sheltersim.experiment import (
     ScenarioConfig,
     arrival_log,
     available_cpus,
-    run_replication_traced,
+    run_replication,
     run_scenario,
     sweep,
 )
@@ -265,8 +265,10 @@ def test_criterion_9_crn_coupling(bed_sweep):
     low = replace(config, bed_capacity=66)
     high = replace(config, bed_capacity=86)
     for rep in range(2):
-        _, low_trace = run_replication_traced(low, rep)
-        _, high_trace = run_replication_traced(high, rep)
+        low_trace: list = []
+        run_replication(low, rep, low_trace)
+        high_trace: list = []
+        run_replication(high, rep, high_trace)
         assert arrival_log(low_trace) == arrival_log(high_trace), \
             "arrival logs diverge between coupled scenarios"
     by_capacity = {cap: [r.resources[BED].reneges for r in s.replications]

@@ -1,6 +1,7 @@
 """CLI behavior: config validation with field-path diagnostics, CSV and
 manifest output, overrides, sweep value parsing, and exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheltersim.cli import main, parse_values
+from sheltersim.cli import load_config, main, parse_values, resolve_config
 from sheltersim.experiment import MAX_GRID_PAIRS, ConfigError, ScenarioConfig
-from support import mini_config
+from support import json_values, mini_config
 
 FAST_OVERRIDES = [
     "--set", "annual_arrivals=200",
@@ -212,6 +213,35 @@ def test_parse_values_accepts_or_rejects_cleanly(text):
         return
     assert 1 <= len(values) <= MAX_GRID_PAIRS
     assert all(isinstance(v, int) for v in values)
+
+
+DEFAULTS = load_config(None)
+top_keys = st.sampled_from(sorted(DEFAULTS))
+service_names = st.sampled_from([s["name"] for s in DEFAULTS["services"]])
+service_keys = st.sampled_from(sorted(DEFAULTS["services"][0]))
+path_segments = top_keys | service_names | service_keys | st.text(max_size=6)
+set_paths = (top_keys
+             | st.builds("services.{}.{}".format, service_names | st.text(max_size=6),
+                         service_keys | st.text(max_size=6))
+             | st.lists(path_segments, min_size=1, max_size=4).map(".".join))
+# Values some field accepts, then any JSON, then raw text.
+set_values = (st.integers(0, 500).map(str) | st.floats(0.0, 1.0).map(repr)
+              | st.sampled_from(["true", "false"])
+              | json_values.map(json.dumps) | st.text(max_size=10))
+assignments = st.builds("{}={}".format, set_paths, set_values)
+
+
+@given(st.lists(assignments, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_set_paths_accept_or_reject_cleanly(sets):
+    # Any --set path over the default config's keys, service names and
+    # arbitrary segments gives a validated config or a ConfigError. Runs no
+    # replication, to keep the suite fast.
+    try:
+        config = resolve_config(argparse.Namespace(config=None, set=sets))
+    except ConfigError:
+        return
+    assert config.validation_errors() == []
 
 
 def test_config_file_with_set_and_flags(tmp_path, capsys):

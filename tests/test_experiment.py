@@ -1,6 +1,7 @@
 """Experiment harness tests: replication determinism, warm-up behavior,
 summary math, config handling, and common-random-number coupling."""
 
+import gc
 import json
 import math
 from dataclasses import replace
@@ -22,7 +23,6 @@ from sheltersim.experiment import (
     build_streams,
     replication_population,
     run_replication,
-    run_replication_traced,
     run_scenario,
     summarize,
     sweep,
@@ -30,7 +30,7 @@ from sheltersim.experiment import (
     t_quantile,
     worker_count,
 )
-from support import mini_config
+from support import json_values, mini_config, numbers
 
 
 def test_replication_is_deterministic():
@@ -47,10 +47,24 @@ def test_replications_differ_from_each_other():
 
 def test_traced_runs_are_bit_identical():
     cfg = mini_config()
-    stats_a, trace_a = run_replication_traced(cfg, 3)
-    stats_b, trace_b = run_replication_traced(cfg, 3)
+    trace_a: list = []
+    stats_a = run_replication(cfg, 3, trace_a)
+    trace_b: list = []
+    stats_b = run_replication(cfg, 3, trace_b)
     assert stats_a == stats_b
     assert trace_a == trace_b
+
+
+def test_finished_replication_leaves_no_reference_cycles():
+    # The calendar and the queues are cleared after collecting, so a run's
+    # objects are freed by reference counting, not by the cycle collector.
+    gc.collect()
+    gc.disable()
+    try:
+        run_replication(mini_config(), 0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_zero_warmup_zero_window_yields_zero_counters():
@@ -153,8 +167,10 @@ def test_crn_arrival_logs_identical_across_capacities():
     low = mini_config(replications=2)
     high = apply_parameter(low, "bed_capacity", 12)
     for rep in range(2):
-        _, trace_low = run_replication_traced(low, rep)
-        _, trace_high = run_replication_traced(high, rep)
+        trace_low: list = []
+        run_replication(low, rep, trace_low)
+        trace_high: list = []
+        run_replication(high, rep, trace_high)
         assert arrival_log(trace_low) == arrival_log(trace_high)
 
 
@@ -384,14 +400,6 @@ def test_invalid_window_rejected():
     assert ScenarioConfig(replications=MAX_GRID_PAIRS).validation_errors() == []
 
 
-# JSON values of every kind, at the extremes a config file or --set can hold.
-numbers = (st.integers(min_value=-10 ** 400, max_value=10 ** 400)
-           | st.floats(allow_nan=True, allow_infinity=True))
-json_values = st.recursive(
-    st.none() | st.booleans() | st.text(max_size=8) | numbers,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6)
 
 
 def shaped_like(default):

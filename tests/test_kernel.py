@@ -229,7 +229,7 @@ def test_utilization_fully_held():
     rec = Recorder()
     res.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
     sim.run_until(10.0)
-    assert res.utilization(0.0, 10.0) == 1.0
+    assert res.utilization() == 1.0
 
 
 def test_utilization_half_window_one_of_two_units():
@@ -239,7 +239,7 @@ def test_utilization_half_window_one_of_two_units():
     res.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
     sim.schedule(5.0, res.release, "a", 1)
     sim.run_until(10.0)
-    assert res.utilization(0.0, 10.0) == pytest.approx(0.25)
+    assert res.utilization() == pytest.approx(0.25)
 
 
 def test_utilization_zero_capacity_is_an_error():
@@ -247,15 +247,16 @@ def test_utilization_zero_capacity_is_an_error():
     res = Resource(sim, "pool", 0)
     sim.run_until(10.0)
     with pytest.raises(ValueError):
-        res.utilization(0.0, 10.0)
+        res.utilization()
 
 
-def test_utilization_requires_reset_anchor():
+def test_utilization_of_an_empty_window_is_an_error():
     sim = Simulator()
     res = Resource(sim, "pool", 1)
     sim.run_until(10.0)
-    with pytest.raises(ValueError):
-        res.utilization(2.0, 10.0)
+    res.reset_statistics()
+    with pytest.raises(ValueError, match="empty window"):
+        res.utilization()
 
 
 def test_statistics_reset_discards_warmup_counts():
@@ -276,7 +277,7 @@ def test_statistics_reset_discards_warmup_counts():
     assert res.stats.served_waits == []
     assert res.stats.renege_count == 0
     # The unit was held 10-12 by "w" and 12-14 by "q" within the 10-day window.
-    assert res.utilization(10.0, 20.0) == pytest.approx(0.4)
+    assert res.utilization() == pytest.approx(0.4)
 
 
 def test_request_conservation_identity():

@@ -3,7 +3,7 @@ state machine on scripted entities, and arrival generation."""
 
 import math
 
-from sheltersim.experiment import build_streams, run_replication_traced
+from sheltersim.experiment import build_streams, run_replication
 from sheltersim.model import (
     Population,
     ServiceSpec,
@@ -114,8 +114,7 @@ def test_uncontended_youth_gets_everything_at_wait_zero():
     assert waits == [0.0, 0.0]
     assert ("bed_grant", 0.0, 1, 0.0) in trace
     assert [e for e in trace if e[0] == "depart"] == [("depart", 40.0, 1, "served_then_left")]
-    assert model.beds.busy == 0
-    assert all(res.busy == 0 for res in model.services.values())
+    assert all(pool.busy == 0 for pool in model.pools)
 
 
 def test_all_reneged_service_only_youth_leaves_unserved():
@@ -129,7 +128,7 @@ def test_all_reneged_service_only_youth_leaves_unserved():
     assert ("service_renege", 4.0, 2, "psychiatric") in trace
     # Leaves at the renege instant, holding nothing.
     assert ("depart", 4.0, 2, "left_unserved") in trace
-    assert model.services["psychiatric"].held_by(2) == 0
+    assert model.service_pools[0].held_by(2) == 0
 
 
 def test_bed_granted_all_bypassed_stays_full_los():
@@ -210,10 +209,11 @@ def test_no_arrivals_at_zero_rate():
 
 def test_poisson_arrival_count_single_replication():
     # One replication's arrivals land within 3 sqrt(1399) of the annual rate.
-    stats, trace = run_replication_traced(mini_config(
+    trace: list = []
+    stats = run_replication(mini_config(
         annual_arrivals=1399.0, bed_capacity=66,
         services=tuple(default_services()), warmup_days=0.0,
-        stats_window_days=365.25), 0)
+        stats_window_days=365.25), 0, trace)
     assert abs(stats.arrivals - 1399) <= 3 * math.sqrt(1399)
     arrival_ids = [e[2] for e in trace if e[0] == "arrival"]
     # Repeat visitors are new entities: ids never recur.
@@ -221,7 +221,8 @@ def test_poisson_arrival_count_single_replication():
 
 
 def test_granted_units_match_needs_profile():
-    stats, trace = run_replication_traced(mini_config(replications=1), 0)
+    trace: list = []
+    run_replication(mini_config(replications=1), 0, trace)
     needs_by_youth = {e[2]: e[8] for e in trace if e[0] == "arrival"}
     order = [s.name for s in mini_config().services]
     for entry in trace:
@@ -250,11 +251,11 @@ def test_conservation_after_drain():
     counters = model.counters
     assert counters.arrivals > 0
     assert counters.arrivals == counters.served_then_left + counters.left_unserved
-    for name, res in model.all_resources().items():
-        assert res.busy == 0, name
-        assert len(res.queue) == 0, name
-        s = res.stats
-        assert s.request_count == len(s.served_waits) + s.renege_count, name
+    for pool in model.pools:
+        assert pool.busy == 0, pool.name
+        assert len(pool.queue) == 0, pool.name
+        s = pool.stats
+        assert s.request_count == len(s.served_waits) + s.renege_count, pool.name
     # Every recorded served wait obeys the youth's patience.
     assert all(e[3] >= 0.0 for e in trace if e[0] == "bed_grant")
 
@@ -262,7 +263,7 @@ def test_conservation_after_drain():
 def test_bed_renege_exit_fraction_matches_coin():
     # Pooled over replications, the share of bed-queue abandoners who exit
     # outright sits inside the 3-sigma binomial band around 0.25.
-    from sheltersim.experiment import ScenarioConfig, run_replication
+    from sheltersim.experiment import ScenarioConfig
 
     exits = stays = 0
     for rep in range(4):
@@ -276,7 +277,8 @@ def test_bed_renege_exit_fraction_matches_coin():
 
 
 def test_each_youth_departs_exactly_once():
-    stats, trace = run_replication_traced(mini_config(), 1)
+    trace: list = []
+    run_replication(mini_config(), 1, trace)
     departed = [e[2] for e in trace if e[0] == "depart"]
     assert len(departed) == len(set(departed))
     # Departures only happen for admitted youth.
@@ -285,7 +287,8 @@ def test_each_youth_departs_exactly_once():
 
 
 def test_left_unserved_iff_holding_nothing():
-    stats, trace = run_replication_traced(mini_config(), 0)
+    trace: list = []
+    run_replication(mini_config(), 0, trace)
     granted = {e[2] for e in trace if e[0] in ("bed_grant", "service_grant")}
     departs = [e for e in trace if e[0] == "depart"]
     assert departs
@@ -298,7 +301,7 @@ def test_left_unserved_iff_holding_nothing():
 def test_randomized_scripted_scenarios_keep_invariants():
     # Random attribute combinations through a cramped two-service shelter:
     # every youth departs exactly once, never before arrival, and all units
-    # come back.
+    # come back, off both the youth's list and the pools' ledger.
     import numpy as np
 
     rng = np.random.default_rng(31415)
@@ -328,6 +331,9 @@ def test_randomized_scripted_scenarios_keep_invariants():
         admitted_at = {youth.id: t for t, youth in admissions}
         for _, t, youth_id, _kind in departs:
             assert t >= admitted_at[youth_id]
-        for name, res in model.all_resources().items():
-            assert res.busy == 0, name
-            assert not res.queue, name
+        for pool in model.pools:
+            assert pool.busy == 0, pool.name
+            assert not pool.queue, pool.name
+        for _t, youth in admissions:
+            assert youth.held == [], youth.id
+            assert all(pool.held_by(youth.id) == 0 for pool in model.pools), youth.id
