@@ -20,7 +20,7 @@ from .experiment import (
     sweep,
 )
 from .kernel import Resource, Simulator
-from .model import ServiceSpec, ShelterModel, Youth, YouthKind, default_services
+from .model import ServiceSpec, ShelterModel, Youth, default_services
 from .streams import RngStream
 
 __version__ = "0.1.0"

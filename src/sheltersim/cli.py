@@ -141,51 +141,35 @@ def parse_values(text: str) -> list[int]:
 # -- output writing -----------------------------------------------------------
 
 
-def _resource_row(name: str, summary: ScenarioSummary) -> dict:
-    res = summary.resources[name]
-    utilization_pct = None if res.utilization is None else 100.0 * res.utilization
-    return {
-        "name": name,
-        "avg_wait_days": _fmt(res.avg_wait, 2),
-        "max_wait_days": _fmt(res.max_wait, 2),
-        "utilization_pct": _fmt(utilization_pct, 1),
-        "pct_reneged": _fmt(res.renege_pct, 1),
-        "ci_halfwidth_wait_days": _fmt(res.avg_wait_ci, 2),
-        "value": "",
-    }
-
-
-def _flow_rows(summary: ScenarioSummary) -> list[dict]:
-    rows = []
+def _rows(summary: ScenarioSummary):
+    """The CSV rows of one summary: one per resource, then one per flow mean.
+    The writer leaves the columns a row does not set empty."""
+    for name, res in summary.resources.items():
+        utilization_pct = None if res.utilization is None else 100.0 * res.utilization
+        yield {
+            "name": name,
+            "avg_wait_days": _fmt(res.avg_wait, 2),
+            "max_wait_days": _fmt(res.max_wait, 2),
+            "utilization_pct": _fmt(utilization_pct, 1),
+            "pct_reneged": _fmt(res.renege_pct, 1),
+            "ci_halfwidth_wait_days": _fmt(res.avg_wait_ci, 2),
+        }
     for key, label in FLOW_LABELS.items():
-        mean, _ci = summary.flows[key]
-        rows.append({"name": label, "avg_wait_days": "", "max_wait_days": "",
-                     "utilization_pct": "", "pct_reneged": "",
-                     "ci_halfwidth_wait_days": "", "value": _fmt(mean, 2)})
-    return rows
+        yield {"name": label, "value": _fmt(summary.flows[key][0], 2)}
 
 
 def write_scenario_csv(fh, summary: ScenarioSummary) -> None:
     writer = csv.DictWriter(fh, fieldnames=RESOURCE_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for name in summary.resources:
-        writer.writerow(_resource_row(name, summary))
-    for row in _flow_rows(summary):
-        writer.writerow(row)
+    writer.writerows(_rows(summary))
 
 
 def write_sweep_csv(fh, parameter: str, results: list[tuple[int, ScenarioSummary]]) -> None:
-    columns = (parameter,) + RESOURCE_COLUMNS
-    writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+    writer = csv.DictWriter(fh, fieldnames=(parameter,) + RESOURCE_COLUMNS,
+                            lineterminator="\n")
     writer.writeheader()
     for value, summary in results:
-        for name in summary.resources:
-            row = _resource_row(name, summary)
-            row[parameter] = str(value)
-            writer.writerow(row)
-        for row in _flow_rows(summary):
-            row[parameter] = str(value)
-            writer.writerow(row)
+        writer.writerows({**row, parameter: value} for row in _rows(summary))
 
 
 def _file_sha256(path: str) -> str:

@@ -23,7 +23,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import get_args, get_type_hints
 
 from .kernel import Simulator
@@ -245,7 +246,6 @@ class ResourceSummary:
     utilization_ci: float | None
     renege_pct: float | None
     renege_pct_ci: float | None
-    requests_mean: float
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,6 @@ class ScenarioSummary:
     """Scenario results: per-resource aggregates, youth-flow means, and the
     per-replication records they were built from."""
 
-    config: ScenarioConfig
     resources: dict[str, ResourceSummary]
     flows: dict[str, tuple[float, float | None]]
     replications: list[ReplicationStats]
@@ -267,8 +266,8 @@ def t_halfwidth(values: list[float], confidence: float = 0.95) -> float | None:
     n = len(values)
     if n < 2:
         return None
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    mean = _total(values) / n
+    var = _total((v - mean) ** 2 for v in values) / (n - 1)
     if var == 0.0:
         return 0.0
     crit = t_quantile(0.5 + confidence / 2.0, n - 1)
@@ -432,7 +431,7 @@ def _collect(config: ScenarioConfig, replication: int, model: ShelterModel,
             served=len(waits),
             reneges=s.renege_count,
             still_queued=res.still_queued_counted(),
-            avg_wait=sum(waits) / len(waits) if waits else None,
+            avg_wait=_total(waits) / len(waits) if waits else None,
             max_wait=max(waits) if waits else None,
             utilization=utilization,
         )
@@ -469,12 +468,7 @@ def run_replication(config: ScenarioConfig, replication: int,
     return stats
 
 
-def arrival_log(trace: list) -> list:
-    """Arrival entries of a trace: epoch plus every drawn youth attribute."""
-    return [entry for entry in trace if entry[0] == "arrival"]
-
-
-def summarize(config: ScenarioConfig, reps: list[ReplicationStats]) -> ScenarioSummary:
+def summarize(reps: list[ReplicationStats]) -> ScenarioSummary:
     """Aggregate replication records into a scenario summary."""
     resource_names = list(reps[0].resources) if reps else []
     resources = {}
@@ -492,20 +486,25 @@ def summarize(config: ScenarioConfig, reps: list[ReplicationStats]) -> ScenarioS
             utilization_ci=t_halfwidth(utils),
             renege_pct=_mean(renege_pcts),
             renege_pct_ci=t_halfwidth(renege_pcts),
-            requests_mean=_mean([s.requests for s in per_rep]) or 0.0,
         )
     flows = {}
     for fieldname in FLOW_LABELS:
         values = [float(getattr(r, fieldname)) for r in reps]
         flows[fieldname] = (_mean(values) or 0.0, t_halfwidth(values))
-    return ScenarioSummary(config=config, resources=resources, flows=flows,
-                           replications=reps)
+    return ScenarioSummary(resources=resources, flows=flows, replications=reps)
 
 
 def _mean(values: list) -> float | None:
     if not values:
         return None
-    return sum(values) / len(values)
+    return _total(values) / len(values)
+
+
+def _total(values) -> float:
+    """The float sum of ``values``, added left to right. From Python 3.12
+    ``sum()`` compensates the rounding of floats, so its result would depend
+    on the Python version."""
+    return reduce(add, values, 0.0)
 
 
 def available_cpus() -> int:
@@ -531,7 +530,9 @@ def _run_grid(configs: list[ScenarioConfig], jobs: int) -> list[list[Replication
     The configs share their replication count. Pairs run replication-major,
     so in one process the configs of a replication follow each other and
     share its population. With ``jobs > 1`` all pairs go to one pool of
-    ``worker_count(jobs, pairs, available_cpus())`` workers.
+    ``worker_count(jobs, pairs, available_cpus())`` workers in about four
+    chunks per worker; a replication split between two chunks is drawn in
+    each process that runs part of it.
     """
     width = len(configs)
     grid_configs = configs * configs[0].replications
@@ -540,20 +541,10 @@ def _run_grid(configs: list[ScenarioConfig], jobs: int) -> list[list[Replication
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             stats = list(pool.map(run_replication, grid_configs, grid_reps,
-                                  chunksize=_chunksize(width, len(grid_reps), workers)))
+                                  chunksize=max(1, len(grid_reps) // (4 * workers))))
     else:
         stats = list(map(run_replication, grid_configs, grid_reps))
     return [stats[i::width] for i in range(width)]
-
-
-def _chunksize(width: int, pairs: int, workers: int) -> int:
-    """About four chunks per worker, each either whole replications (a
-    multiple of ``width`` pairs) or a divisor of ``width``, so that no chunk
-    straddles two replications."""
-    target = max(1, pairs // (4 * workers))
-    if target >= width:
-        return target - target % width
-    return max(d for d in range(1, target + 1) if width % d == 0)
 
 
 def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioSummary:
@@ -564,7 +555,7 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioSummary:
     and are merged in index order, so results do not depend on scheduling.
     """
     config.validate()
-    return summarize(config, _run_grid([config], jobs)[0])
+    return summarize(_run_grid([config], jobs)[0])
 
 
 def apply_parameter(config: ScenarioConfig, parameter: str, value: int) -> ScenarioConfig:
@@ -612,4 +603,4 @@ def sweep(config: ScenarioConfig, parameter: str, values: list[int],
     if errors:
         raise ConfigError(errors)
     grid = _run_grid(swept, jobs)
-    return [(value, summarize(cfg, reps)) for value, cfg, reps in zip(values, swept, grid)]
+    return [(value, summarize(reps)) for value, reps in zip(values, grid)]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from functools import partial
 
 # Every sampler is importable from here, ``sample_bernoulli`` included,
@@ -42,21 +41,6 @@ LOS_BED_SEEKING_21_24 = TriangularParams(60, 120, 180)
 LOS_SERVICE_ONLY = TriangularParams(7, 14, 30)
 BED_PATIENCE = TriangularParams(3, 5, 7)
 SERVICE_PATIENCE = TriangularParams(1, 7, 14)
-
-
-class YouthKind(Enum):
-    BED_SEEKING = "bed_seeking"
-    SERVICE_ONLY = "service_only"
-
-
-class AgeGroup(Enum):
-    AGE_16_20 = "16-20"
-    AGE_21_24 = "21-24"
-
-
-class Departure(Enum):
-    SERVED_THEN_LEFT = "served_then_left"
-    LEFT_UNSERVED = "left_unserved"
 
 
 @dataclass(frozen=True)
@@ -116,6 +100,8 @@ def default_services() -> list[ServiceSpec]:
 class Youth:
     """One shelter entity with its stay attributes and in-flight state.
 
+    ``kind`` is "bed_seeking" or "service_only" and ``age_group`` "16-20",
+    "21-24" or None (service-only youth), the words of the trace.
     ``needs`` holds the monthly appointment count of every service in the
     model's service order, 0 for a service the youth does not use.
     ``held`` lists the pools the youth holds units of, in grant order; the
@@ -128,7 +114,7 @@ class Youth:
         "counted", "held", "pending_services",
     )
 
-    def __init__(self, id: int, kind: YouthKind, age_group: AgeGroup | None,
+    def __init__(self, id: int, kind: str, age_group: str | None,
                  length_of_stay: float, bed_patience: float | None,
                  service_patience: float, needs: list[int],
                  exits_on_bed_renege: bool = False):
@@ -210,11 +196,11 @@ class Population:
         width = len(self.names)
         needs = self.needs[i * width:(i + 1) * width]
         if self.bed_seeking[i]:
-            age = AgeGroup.AGE_16_20 if self.age_16_20[i] else AgeGroup.AGE_21_24
-            return Youth(i, YouthKind.BED_SEEKING, age, self.length_of_stay[i],
+            age = "16-20" if self.age_16_20[i] else "21-24"
+            return Youth(i, "bed_seeking", age, self.length_of_stay[i],
                          self.bed_patience[i], self.service_patience[i], needs,
                          exits_on_bed_renege=bool(self.exits[i]))
-        return Youth(i, YouthKind.SERVICE_ONLY, None, self.length_of_stay[i], None,
+        return Youth(i, "service_only", None, self.length_of_stay[i], None,
                      self.service_patience[i], needs)
 
 
@@ -353,18 +339,17 @@ class ShelterModel:
             counters = self.counters
             counters.arrivals += 1
             counters.still_in_system += 1
-            if youth.kind is YouthKind.BED_SEEKING:
+            if youth.kind == "bed_seeking":
                 counters.arrivals_bed_seeking += 1
             else:
                 counters.arrivals_service_only += 1
         if self.trace is not None:
             self.trace.append((
-                "arrival", now, youth.id, youth.kind.value,
-                youth.age_group.value if youth.age_group else None,
+                "arrival", now, youth.id, youth.kind, youth.age_group,
                 youth.length_of_stay, youth.bed_patience, youth.service_patience,
                 youth.needs, youth.exits_on_bed_renege,
             ))
-        if youth.kind is YouthKind.BED_SEEKING:
+        if youth.kind == "bed_seeking":
             if self.trace is not None:
                 self.trace.append(("bed_request", now, youth.id))
             self.beds.request(
@@ -392,7 +377,7 @@ class ShelterModel:
             else:
                 self.counters.bed_renege_stayed += 1
         if exits:
-            self._depart(youth, Departure.LEFT_UNSERVED)
+            self._depart(youth, "left_unserved")
             return
         if self.redraw_los_on_bed_renege:
             u = self.streams["redraw"].uniform()
@@ -443,19 +428,19 @@ class ShelterModel:
         # sign-up resolved, whichever is later).
         if youth.held:
             depart_at = max(youth.arrival_time + youth.length_of_stay, self.sim.now)
-            self.sim.schedule(depart_at, self._depart, youth, Departure.SERVED_THEN_LEFT)
+            self.sim.schedule(depart_at, self._depart, youth, "served_then_left")
         else:
-            self._depart(youth, Departure.LEFT_UNSERVED)
+            self._depart(youth, "left_unserved")
 
-    def _depart(self, youth: Youth, kind: Departure) -> None:
+    def _depart(self, youth: Youth, outcome: str) -> None:
         if youth.counted:
             self.counters.still_in_system -= 1
-            if kind is Departure.SERVED_THEN_LEFT:
+            if outcome == "served_then_left":
                 self.counters.served_then_left += 1
             else:
                 self.counters.left_unserved += 1
         if self.trace is not None:
-            self.trace.append(("depart", self.sim.now, youth.id, kind.value))
+            self.trace.append(("depart", self.sim.now, youth.id, outcome))
         for pool in youth.held:
             pool.release(youth.id, pool.held_by(youth.id))
         youth.held.clear()

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: a small scaled-down scenario, scripted
-youth construction, JSON value strategies for fuzzing configs, and reusable
-statistical checks."""
+youth construction, trace filters, strategies for fuzzing configs, and
+reusable statistical checks."""
 
 from __future__ import annotations
 
@@ -18,13 +18,7 @@ from sheltersim.distributions import (
 )
 from sheltersim.experiment import ScenarioConfig
 from sheltersim.kernel import Simulator
-from sheltersim.model import (
-    AgeGroup,
-    ServiceSpec,
-    ShelterModel,
-    Youth,
-    YouthKind,
-)
+from sheltersim.model import ServiceSpec, ShelterModel, Youth
 
 
 def mini_config(**overrides) -> ScenarioConfig:
@@ -54,10 +48,8 @@ def scripted_youth(youth_id: int, kind: str, los: float, service_patience: float
                    age: str | None = None, exits: bool = False) -> Youth:
     """Build a youth with fixed attributes instead of drawn ones; see
     ``scripted_model`` for how ``needs`` reaches the model."""
-    kind_enum = YouthKind.BED_SEEKING if kind == "bed_seeking" else YouthKind.SERVICE_ONLY
-    age_enum = {None: None, "16-20": AgeGroup.AGE_16_20, "21-24": AgeGroup.AGE_21_24}[age]
-    return Youth(youth_id, kind_enum, age_enum, los, bed_patience,
-                 service_patience, dict(needs), exits_on_bed_renege=exits)
+    return Youth(youth_id, kind, age, los, bed_patience, service_patience,
+                 dict(needs), exits_on_bed_renege=exits)
 
 
 def scripted_model(bed_capacity: int, services: list[tuple[str, int]],
@@ -77,6 +69,11 @@ def scripted_model(bed_capacity: int, services: list[tuple[str, int]],
     return sim, model, trace
 
 
+def arrival_log(trace: list) -> list:
+    """Arrival entries of a trace: epoch plus every drawn youth attribute."""
+    return [entry for entry in trace if entry[0] == "arrival"]
+
+
 # JSON values of every kind, at the extremes a config file or --set can hold.
 numbers = (st.integers(min_value=-10 ** 400, max_value=10 ** 400)
            | st.floats(allow_nan=True, allow_infinity=True))
@@ -85,6 +82,28 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
+
+
+def shaped_like(default):
+    """JSON values of the kind a field with this ``to_dict`` value takes,
+    mixed with values of any kind."""
+    if isinstance(default, list):
+        entry = st.fixed_dictionaries({}, optional={
+            key: shaped_like(value) for key, value in default[0].items()})
+        kind = st.lists(entry | json_values, max_size=3)
+    elif isinstance(default, bool):
+        kind = st.booleans()
+    elif isinstance(default, str):
+        kind = st.text(max_size=8)
+    else:
+        kind = numbers
+    return kind | json_values
+
+
+# Config objects over the declared keys, each value shaped like its field's
+# or of any JSON kind.
+config_dicts = st.fixed_dictionaries({}, optional={
+    key: shaped_like(value) for key, value in ScenarioConfig().to_dict().items()})
 
 
 # -- distribution checks (3-sigma Monte Carlo bands) -----------------------------

@@ -17,7 +17,6 @@ import pytest
 from sheltersim.distributions import TriangularParams, sample_triangular
 from sheltersim.experiment import (
     ScenarioConfig,
-    arrival_log,
     available_cpus,
     run_replication,
     run_scenario,
@@ -25,6 +24,7 @@ from sheltersim.experiment import (
 )
 from sheltersim.kernel import Resource, Simulator
 from support import (
+    arrival_log,
     check_exponential_mean,
     check_triangular_moments,
     check_uniform_int_frequencies,

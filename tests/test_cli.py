@@ -156,6 +156,22 @@ def test_sweep_service_parameter(tmp_path):
     assert {row["service:psychiatric"] for row in rows} == {"56", "72"}
 
 
+def test_one_value_sweep_csv_is_the_simulate_csv_with_a_value_column(tmp_path):
+    # Both writers take their rows from one builder, so the same scenario
+    # gives the same rows, the sweep's behind the swept value.
+    config = mini_config(replications=2)
+    path = tmp_path / "mini.json"
+    path.write_text(json.dumps(config.to_dict()))
+    simulated, swept = tmp_path / "simulate.csv", tmp_path / "sweep.csv"
+    assert run_cli("simulate", "--config", str(path), "--out", str(simulated)) == 0
+    assert run_cli("sweep", "--config", str(path), "--param", "bed_capacity",
+                   "--values", str(config.bed_capacity), "--out", str(swept)) == 0
+    lines = swept.read_text().splitlines(keepends=True)
+    firsts = [line.split(",", 1)[0] for line in lines]
+    assert firsts == ["bed_capacity"] + [str(config.bed_capacity)] * (len(lines) - 1)
+    assert "".join(line.split(",", 1)[1] for line in lines) == simulated.read_text()
+
+
 def test_sweep_rejects_bad_values(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--param", "bed_capacity", "--values", "",

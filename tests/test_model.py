@@ -48,8 +48,8 @@ def test_bed_seeking_attribute_ranges():
     seen_ages = set()
     for youth in _youths(2000, True, 12):
         assert 3.0 <= youth.bed_patience <= 7.0
-        seen_ages.add(youth.age_group.value)
-        if youth.age_group.value == "16-20":
+        seen_ages.add(youth.age_group)
+        if youth.age_group == "16-20":
             assert 30.0 <= youth.length_of_stay <= 90.0
         else:
             assert 60.0 <= youth.length_of_stay <= 180.0
