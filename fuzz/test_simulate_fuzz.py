@@ -3,9 +3,11 @@
 one replication, and must either write a non-empty CSV (exit 0) or be
 rejected without one (exit 2), never raise.
 
-Not part of tier-1, whose testpaths is ``tests/``: an accepted config runs a
-whole replication, up to a million arrivals. Run with
-``PYTHONPATH=src python -m pytest fuzz``.
+About seven drawn configs in ten are valid, so 1000 examples run about 700
+replications, each drawing its population and running the kernel on a
+different mix of capacities, rates and services. Not part of tier-1, whose
+testpaths is ``tests/``: an accepted config runs a whole replication, up to
+a million arrivals. Run with ``PYTHONPATH=src python -m pytest fuzz``.
 """
 
 import json

@@ -4,12 +4,20 @@ Each sampler is a pure function of its parameters and a single uniform draw,
 so distribution math stays decoupled from generator choice and statistical
 tests are deterministic. Continuous samplers use the inverse-CDF transform,
 which is also monotone in u.
+
+``triangular_array`` and ``uniform_int_array`` apply the same formulas to an
+array of draws at once. They use only numpy's ``+ - * sqrt minimum maximum
+<`` and a truncating ``astype``, whose results IEEE 754 fixes to the last
+bit as it does the scalar operations', so each element equals the scalar
+sampler's value for its draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,13 @@ def sample_triangular(p: TriangularParams, u: float) -> float:
     return max(p.high - math.sqrt((1.0 - u) * p.span * p.right), p.mode)
 
 
+def triangular_array(p: TriangularParams, u: np.ndarray) -> np.ndarray:
+    """``sample_triangular`` of every draw in ``u``."""
+    return np.where(u < p.cut,
+                    np.minimum(p.low + np.sqrt(u * p.span * p.left), p.mode),
+                    np.maximum(p.high - np.sqrt((1.0 - u) * p.span * p.right), p.mode))
+
+
 def sample_exponential(p: ExponentialParams, u: float) -> float:
     """Inverse-CDF draw from an exponential distribution. Requires 0 < u <= 1."""
     return -p.mean * math.log(u)
@@ -81,3 +96,10 @@ def sample_uniform_int(lo: int, hi: int, u: float) -> int:
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
     return min(lo + int(u * (hi - lo + 1)), hi)
+
+
+def uniform_int_array(lo: int, hi: int, u: np.ndarray) -> np.ndarray:
+    """``sample_uniform_int`` of every draw in ``u``, as int64."""
+    if lo > hi:
+        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
+    return np.minimum(lo + (u * (hi - lo + 1)).astype(np.int64), hi)

@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache, reduce
 from operator import add
@@ -57,6 +56,18 @@ MAX_GRID_PAIRS = 10 ** 5
 
 # Each flow and the label of its mean in the CSV, in CSV order.
 FLOW_LABELS = {f.name: f.metadata["label"] for f in fields(FlowCounters)}
+
+
+def __getattr__(name: str):
+    # ``ProcessPoolExecutor`` is imported on first use: ``concurrent.futures``
+    # pulls in ``multiprocessing`` (about 18 ms of import), and a serial run
+    # never starts a pool. The import binds it here, where code outside may
+    # also replace it.
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 class ConfigError(ValueError):
@@ -539,7 +550,8 @@ def _run_grid(configs: list[ScenarioConfig], jobs: int) -> list[list[Replication
     grid_reps = [rep for rep in range(configs[0].replications) for _ in configs]
     workers = worker_count(jobs, len(grid_reps), available_cpus())
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with executor(max_workers=workers) as pool:
             stats = list(pool.map(run_replication, grid_configs, grid_reps,
                                   chunksize=max(1, len(grid_reps) // (4 * workers))))
     else:

@@ -42,6 +42,9 @@ class Simulator:
         self.now = 0.0
         self._heap: list[EventHandle] = []
         self._seq = 0
+        # The latest renege entry of any pool while it is pending; queued
+        # requests may join it (see ``Resource.request``).
+        self._renege_entry: EventHandle | None = None
 
     def schedule(self, time: float, fn: Callable, *args) -> EventHandle:
         """Schedule ``fn(*args)`` at ``time``. Scheduling in the past is a bug."""
@@ -71,15 +74,20 @@ class Simulator:
 
 
 class PendingRequest:
-    """A queued multi-unit request with an abandonment deadline."""
+    """A queued multi-unit request with an abandonment deadline.
+
+    ``timer`` is the renege entry the request belongs to; its one argument
+    is the list of the entry's requests that are still queued.
+    """
 
     __slots__ = (
-        "entity_id", "units", "enqueue_time", "renege_deadline",
+        "pool", "entity_id", "units", "enqueue_time", "renege_deadline",
         "on_grant", "on_renege", "timer", "counted",
     )
 
-    def __init__(self, entity_id, units, enqueue_time, renege_deadline,
+    def __init__(self, pool, entity_id, units, enqueue_time, renege_deadline,
                  on_grant, on_renege):
+        self.pool = pool
         self.entity_id = entity_id
         self.units = units
         self.enqueue_time = enqueue_time
@@ -194,8 +202,21 @@ class Resource:
             stats.served_waits.append(0.0)
             on_grant(0.0)
             return
-        req = PendingRequest(entity_id, units, now, now + patience, on_grant, on_renege)
-        req.timer = self.sim.schedule(req.renege_deadline, self._renege, req)
+        req = PendingRequest(self, entity_id, units, now, now + patience, on_grant, on_renege)
+        # A request due when the entry scheduled just before it fires, while
+        # that entry is a pending renege entry, joins it: no entry can sort
+        # between two consecutive seqs at one time, so the entry reneging its
+        # requests in join order is what one entry each would do. A youth's
+        # service requests, all due at ``now + service_patience``, share one.
+        sim = self.sim
+        entry = sim._renege_entry
+        if (entry is not None and entry[1] == sim._seq - 1
+                and entry[0] == req.renege_deadline):
+            entry[3][0].append(req)
+        else:
+            entry = sim._renege_entry = sim.schedule(
+                req.renege_deadline, self._renege_due, [req])
+        req.timer = entry
         self.queue.append(req)
 
     def release(self, entity_id, units: int) -> None:
@@ -230,7 +251,13 @@ class Resource:
         held = self._held
         while queue and self.busy + queue[0].units <= self.capacity:
             req = queue.popleft()
-            req.timer.cancel()
+            entry = req.timer
+            due = entry[3][0]
+            due.remove(req)
+            if not due:
+                entry.cancel()
+                if self.sim._renege_entry is entry:
+                    self.sim._renege_entry = None
             self.busy += req.units
             held[req.entity_id] = held.get(req.entity_id, 0) + req.units
             wait = now - req.enqueue_time
@@ -238,9 +265,20 @@ class Resource:
                 self.stats.served_waits.append(wait)
             req.on_grant(wait)
 
+    def _renege_due(self, due: list[PendingRequest]) -> None:
+        # A renege entry fires: renege its still-queued requests, of any
+        # pool, in join order. The list shrinks as they go, and as callbacks
+        # grant any of them. A fired entry is never empty (the last grant
+        # cancels it), and from now on no request may join it.
+        if self.sim._renege_entry is due[0].timer:
+            self.sim._renege_entry = None
+        while due:
+            req = due.pop(0)
+            req.pool._renege(req)
+
     def _renege(self, req: PendingRequest) -> None:
-        # The fired timer holds ``req`` among its arguments; dropping it here
-        # spares the garbage collector a reference cycle per renege.
+        # The request held its entry, which held the request: dropping the
+        # entry spares the garbage collector a reference cycle per renege.
         req.timer = None
         self.queue.remove(req)
         if req.counted:

@@ -17,16 +17,20 @@ from array import array
 from dataclasses import dataclass, field, fields
 from functools import partial
 
-# Every sampler is importable from here, ``sample_bernoulli`` included,
-# although coins are written as the comparison ``u < p`` it makes:
-# perfbench/tracer.py times the samplers under these names.
+import numpy as np
+
+# Every scalar sampler is importable from here, although the population is
+# drawn with their array twins and coins are written as the comparison
+# ``u < p`` that ``sample_bernoulli`` makes: perfbench/tracer.py times the
+# samplers under these names.
 from .distributions import (  # noqa: F401
-    ExponentialParams,
     TriangularParams,
     sample_bernoulli,
     sample_exponential,
     sample_triangular,
     sample_uniform_int,
+    triangular_array,
+    uniform_int_array,
 )
 from .kernel import Resource, Simulator
 from .streams import RngStream
@@ -155,15 +159,6 @@ class FlowCounters:
     still_in_system: int = _flow("youth_still_in_system")
 
 
-def build_needs_profile(specs: list[ServiceSpec], stream: RngStream) -> list[int]:
-    """Draw monthly appointment counts, in service order: per service a demand
-    coin, then a uniform count over the service's conditional range."""
-    draws = stream.draws
-    return [sample_uniform_int(spec.appt_min, spec.appt_max, next(draws))
-            if next(draws) < spec.request_prob else 0
-            for spec in specs]
-
-
 class Population:
     """One replication's arrivals, drawn before the run: arrival epochs and
     every youth's stay attributes, as columns indexed by youth id.
@@ -204,36 +199,86 @@ class Population:
                      self.service_patience[i], needs)
 
 
-def assign_attributes(population: Population, bed_seeking: bool,
-                      age_16_20_fraction: float, renege_exit_prob: float,
-                      specs: list[ServiceSpec], attr_stream: RngStream,
-                      needs_stream: RngStream) -> None:
-    """Draw one youth's stay attributes and needs profile onto the end of
-    ``population``.
+# Youths drawn per window: their draws are read as whole arrays, while the
+# window's scratch arrays stay small beside the population's columns.
+WINDOW = 512
 
-    Bed seekers take four ``attr_stream`` draws (age band, stay, bed
-    patience, exit coin) and service-only youth one, before the service
-    patience draw; the order of draws is part of the reproducibility
-    contract.
+
+def assign_attributes(population: Population, n: int, bsy_fraction: float,
+                      age_16_20_fraction: float, renege_exit_prob: float,
+                      u: np.ndarray) -> np.ndarray:
+    """Draw the next ``n`` youths' kinds and stay attributes onto the end of
+    ``population`` from the ``attributes`` draws ``u`` (at least 6n of them),
+    and return the draws they leave.
+
+    Each youth reads its draws in order: the bed-seeker coin, then for a bed
+    seeker the age band, stay, bed patience and exit coin (for a
+    service-only youth the stay alone), then the service patience; the order
+    is part of the reproducibility contract.
     """
-    draws = attr_stream.draws
-    if bed_seeking:
-        young = next(draws) < age_16_20_fraction
-        los = sample_triangular(LOS_BED_SEEKING_16_20 if young else LOS_BED_SEEKING_21_24,
-                                next(draws))
-        bed_patience = sample_triangular(BED_PATIENCE, next(draws))
-        exits = next(draws) < renege_exit_prob
-    else:
-        young = exits = False
-        los = sample_triangular(LOS_SERVICE_ONLY, next(draws))
-        bed_patience = 0.0
-    population.bed_seeking.append(bed_seeking)
-    population.age_16_20.append(young)
-    population.exits.append(exits)
-    population.length_of_stay.append(los)
-    population.bed_patience.append(bed_patience)
-    population.service_patience.append(sample_triangular(SERVICE_PATIENCE, next(draws)))
-    population.needs.extend(build_needs_profile(specs, needs_stream))
+    # Each youth starts 6 draws after a bed seeker and 3 after anyone else.
+    coins = (u < bsy_fraction).tobytes()
+    starts = []
+    j = 0
+    for _ in range(n):
+        starts.append(j)
+        j += 6 if coins[j] else 3
+    at = np.array(starts, dtype=np.intp)
+    bed = u[at] < bsy_fraction
+    young = bed & (u[at + 1] < age_16_20_fraction)
+    exits = bed & (u[at + 4] < renege_exit_prob)
+    stay = u[at + np.where(bed, 2, 1)]
+    population.bed_seeking += bed.tobytes()
+    population.age_16_20 += young.tobytes()
+    population.exits += exits.tobytes()
+    population.length_of_stay.frombytes(np.where(
+        bed, np.where(young, triangular_array(LOS_BED_SEEKING_16_20, stay),
+                      triangular_array(LOS_BED_SEEKING_21_24, stay)),
+        triangular_array(LOS_SERVICE_ONLY, stay)).tobytes())
+    population.bed_patience.frombytes(
+        np.where(bed, triangular_array(BED_PATIENCE, u[at + 3]), 0.0).tobytes())
+    population.service_patience.frombytes(
+        triangular_array(SERVICE_PATIENCE, u[at + np.where(bed, 5, 2)]).tobytes())
+    return u[j:]
+
+
+def build_needs_profile(specs: list[ServiceSpec], n: int,
+                        u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the next ``n`` youths' monthly appointment counts from the
+    ``needs`` draws ``u`` (at least 2n per service), and return them as an
+    (n, services) array in service order, with the draws they leave.
+
+    Each youth reads, per service in order, a demand coin and, on demand, a
+    uniform count over the service's conditional range.
+    """
+    # ``ends[j]``: where a youth whose draws start at j ends, for every j
+    # whose every draw is in ``u``; one array step per service.
+    ends = np.arange(len(u) - 2 * len(specs) + 1)
+    for spec in specs:
+        ends += 1
+        ends += u[ends - 1] < spec.request_prob
+    ends = memoryview(ends)
+    starts = []
+    j = 0
+    for _ in range(n):
+        starts.append(j)
+        j = ends[j]
+    at = np.array(starts, dtype=np.intp)
+    profile = np.zeros((n, len(specs)), dtype=np.int64)
+    for k, spec in enumerate(specs):
+        demand = u[at] < spec.request_prob
+        counts = uniform_int_array(spec.appt_min, spec.appt_max, u[at + 1])
+        profile[:, k] = np.where(demand, counts, 0)
+        at += 1
+        at += demand
+    return profile, u[j:]
+
+
+def _topped_up(rest: np.ndarray, stream: RngStream, size: int) -> np.ndarray:
+    """``rest``, followed by enough of ``stream`` to hold ``size`` draws."""
+    if len(rest) >= size:
+        return rest
+    return np.concatenate((rest, stream.take(size - len(rest))))
 
 
 def draw_population(specs: list[ServiceSpec], annual_arrivals: float,
@@ -247,19 +292,40 @@ def draw_population(specs: list[ServiceSpec], annual_arrivals: float,
     attributes come from ``attributes`` and its needs from ``needs``. None of
     this depends on contention, so the result can be shared by every
     scenario that differs only in capacities.
+
+    Youths are drawn ``WINDOW`` at a time. A window reads more draws than
+    its youths use and hands the rest to the next one, so the three streams
+    end past the population's last draw; nothing reads them afterwards.
     """
     population = Population(tuple(s.name for s in specs))
     if annual_arrivals <= 0:
         return population
-    gap = ExponentialParams(DAYS_PER_YEAR / annual_arrivals)
-    attr, needs = streams["attributes"], streams["needs"]
-    arrival_draws, attr_draws = streams["arrivals"].draws, attr.draws
+    # ``t + sample_exponential(gap, 1.0 - u)`` inlined: scalar ``math.log``,
+    # since numpy's ``log`` need not round like the C library's, and a
+    # running sum, left to right.
+    neg_mean = -(DAYS_PER_YEAR / annual_arrivals)
+    log = math.log
+    arrivals, attr, needs = streams["arrivals"], streams["attributes"], streams["needs"]
     append_time = population.times.append
+    attr_rest = needs_rest = np.empty(0)
     t = 0.0
-    while (t := t + sample_exponential(gap, 1.0 - next(arrival_draws))) <= horizon:
-        append_time(t)
-        assign_attributes(population, next(attr_draws) < bsy_fraction,
-                          age_16_20_fraction, renege_exit_prob, specs, attr, needs)
+    while True:
+        n = 0
+        for u in arrivals.take(WINDOW).tolist():
+            t += neg_mean * log(1.0 - u)
+            if t > horizon:
+                break
+            append_time(t)
+            n += 1
+        if n:
+            attr_rest = assign_attributes(
+                population, n, bsy_fraction, age_16_20_fraction, renege_exit_prob,
+                _topped_up(attr_rest, attr, 6 * n))
+            profile, needs_rest = build_needs_profile(
+                specs, n, _topped_up(needs_rest, needs, 2 * len(specs) * n))
+            population.needs += profile.ravel().tolist()
+        if n < WINDOW:
+            break
     return population
 
 

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: a small scaled-down scenario, scripted
-youth construction, trace filters, strategies for fuzzing configs, and
-reusable statistical checks."""
+youth construction, the per-youth reference draw of a population, trace
+filters, strategies for fuzzing configs, and reusable statistical checks."""
 
 from __future__ import annotations
 
@@ -18,7 +18,18 @@ from sheltersim.distributions import (
 )
 from sheltersim.experiment import ScenarioConfig
 from sheltersim.kernel import Simulator
-from sheltersim.model import ServiceSpec, ShelterModel, Youth
+from sheltersim.model import (
+    BED_PATIENCE,
+    DAYS_PER_YEAR,
+    LOS_BED_SEEKING_16_20,
+    LOS_BED_SEEKING_21_24,
+    LOS_SERVICE_ONLY,
+    SERVICE_PATIENCE,
+    Population,
+    ServiceSpec,
+    ShelterModel,
+    Youth,
+)
 
 
 def mini_config(**overrides) -> ScenarioConfig:
@@ -69,6 +80,41 @@ def scripted_model(bed_capacity: int, services: list[tuple[str, int]],
     return sim, model, trace
 
 
+def reference_population(specs, annual_arrivals, bsy_fraction, age_16_20_fraction,
+                         renege_exit_prob, streams, horizon) -> Population:
+    """``draw_population`` one youth and one draw at a time, with the scalar
+    samplers: the oracle for the window-at-a-time draw."""
+    population = Population(tuple(s.name for s in specs))
+    if annual_arrivals <= 0:
+        return population
+    gap = ExponentialParams(DAYS_PER_YEAR / annual_arrivals)
+    arrivals, attr, needs = (streams[name].draws for name in ("arrivals", "attributes", "needs"))
+    t = 0.0
+    while (t := t + sample_exponential(gap, 1.0 - next(arrivals))) <= horizon:
+        population.times.append(t)
+        bed_seeking = next(attr) < bsy_fraction
+        if bed_seeking:
+            young = next(attr) < age_16_20_fraction
+            los = sample_triangular(LOS_BED_SEEKING_16_20 if young else LOS_BED_SEEKING_21_24,
+                                    next(attr))
+            bed_patience = sample_triangular(BED_PATIENCE, next(attr))
+            exits = next(attr) < renege_exit_prob
+        else:
+            young = exits = False
+            los = sample_triangular(LOS_SERVICE_ONLY, next(attr))
+            bed_patience = 0.0
+        population.bed_seeking.append(bed_seeking)
+        population.age_16_20.append(young)
+        population.exits.append(exits)
+        population.length_of_stay.append(los)
+        population.bed_patience.append(bed_patience)
+        population.service_patience.append(sample_triangular(SERVICE_PATIENCE, next(attr)))
+        population.needs.extend(sample_uniform_int(spec.appt_min, spec.appt_max, next(needs))
+                                if next(needs) < spec.request_prob else 0
+                                for spec in specs)
+    return population
+
+
 def arrival_log(trace: list) -> list:
     """Arrival entries of a trace: epoch plus every drawn youth attribute."""
     return [entry for entry in trace if entry[0] == "arrival"]
@@ -100,10 +146,48 @@ def shaped_like(default):
     return kind | json_values
 
 
-# Config objects over the declared keys, each value shaped like its field's
-# or of any JSON kind.
+def mostly(usual, rest):
+    """``usual`` nine draws in ten, ``rest`` otherwise."""
+    return st.integers(0, 9).flatmap(lambda k: rest if k == 0 else usual)
+
+
+@st.composite
+def service_entry(draw, name: str) -> dict:
+    """A valid service entry: every key given, appointments within capacity."""
+    appt_min = draw(st.integers(1, 5))
+    appt_max = draw(st.integers(appt_min, appt_min + 4))
+    return {"name": name, "capacity_units": draw(st.integers(appt_max, 500)),
+            "request_prob": draw(st.floats(0.0, 1.0)),
+            "appt_min": appt_min, "appt_max": appt_max}
+
+
+# A valid value for every declared key. A config of these alone is valid and
+# expects at most about 4,400 arrivals per replication, so runs stay short.
+fractions = st.floats(0.0, 1.0)
+days = st.floats(0.0, 400.0)
+usual_values = {
+    "bed_capacity": st.integers(1, 200),
+    "services": st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=8,
+                         unique=True).flatmap(
+        lambda names: st.tuples(*map(service_entry, names)).map(list)),
+    "annual_arrivals": st.floats(0.0, 2000.0),
+    "bsy_fraction": fractions,
+    "age_16_20_fraction": fractions,
+    "renege_exit_prob": fractions,
+    "redraw_los_on_bed_renege": st.booleans(),
+    "warmup_days": days,
+    "stats_window_days": days.filter(lambda d: d > 0.0),
+    "replications": st.integers(1, 1000),
+    "master_seed": st.integers(0, 2 ** 64 - 1),
+}
+assert usual_values.keys() == ScenarioConfig().to_dict().keys()
+
+# Config objects over the declared keys. Each value is mostly a valid one;
+# the rest are shaped like the field's value or of any JSON kind, so about
+# seven drawn configs in ten validate.
 config_dicts = st.fixed_dictionaries({}, optional={
-    key: shaped_like(value) for key, value in ScenarioConfig().to_dict().items()})
+    key: mostly(usual_values[key], shaped_like(value))
+    for key, value in ScenarioConfig().to_dict().items()})
 
 
 # -- distribution checks (3-sigma Monte Carlo bands) -----------------------------

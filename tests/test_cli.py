@@ -310,17 +310,19 @@ def test_jobs_below_one_exits_2(tmp_path, capsys):
     assert "config error: jobs: must be >= 1" in capsys.readouterr().err
 
 
-def test_cli_run_never_imports_scipy(tmp_path):
-    # A fresh interpreter, so modules imported by other tests do not count.
+def _modules_after_serial_simulate(tmp_path) -> list[str]:
+    """Modules loaded by a fresh interpreter that imports the CLI and runs a
+    2-replication serial ``simulate``, so modules imported by other tests do
+    not count."""
     config = tmp_path / "mini.json"
     config.write_text(json.dumps(mini_config().to_dict()))
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "import sheltersim.cli as cli\n"
         f"code = cli.main(['simulate', '--config', {str(config)!r}, "
         f"'--out', {str(tmp_path / 'out.csv')!r}, '--reps', '2'])\n"
         "assert code == 0, code\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -328,7 +330,20 @@ def test_cli_run_never_imports_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_run_never_imports_scipy(tmp_path):
+    modules = _modules_after_serial_simulate(tmp_path)
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_serial_run_never_imports_the_process_pool(tmp_path):
+    # ``concurrent.futures.process`` pulls in ``multiprocessing``; only a run
+    # with more than one worker needs it.
+    modules = _modules_after_serial_simulate(tmp_path)
+    assert "sheltersim.experiment" in modules
+    assert "concurrent.futures.process" not in modules
 
 
 @pytest.mark.parametrize("assignment, field", [

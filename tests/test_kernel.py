@@ -294,3 +294,108 @@ def test_request_conservation_identity():
     assert s.request_count == 3
     assert s.renege_count == 1  # "b" at t=3
     assert len(s.served_waits) == 2  # "a" immediately, "c" at t=50
+
+
+# -- shared renege entries ----------------------------------------------------
+
+
+def _log_renege(log, sim, label):
+    return lambda: log.append((label, sim.now))
+
+
+def test_one_entity_shares_a_renege_entry_across_pools():
+    # Three full pools; one entity queues in each with the same patience.
+    # Their three deadlines are one calendar entry beside the release.
+    sim = Simulator()
+    pools = [Resource(sim, name, 1) for name in ("a", "b", "c")]
+    rec = Recorder()
+    log = []
+    for pool in pools:
+        pool.request("holder", 1, 1.0, rec.on_grant("holder"), rec.on_renege("holder"))
+    sim.schedule(2.0, pools[1].release, "holder", 1)
+    for pool in pools:
+        pool.request("y", 1, 5.0, rec.on_grant(pool.name), _log_renege(log, sim, pool.name))
+    assert len(sim._heap) == 2
+    sim.run_until(10.0)
+    # The middle request is granted at the release; the others renege at
+    # their deadline, in request order.
+    assert rec.grants[3:] == [("b", 2.0)]
+    assert log == [("a", 5.0), ("c", 5.0)]
+    assert [pool.stats.renege_count for pool in pools] == [1, 0, 1]
+    assert all(not pool.queue for pool in pools)
+
+
+def test_equal_deadlines_share_an_entry_only_when_scheduled_back_to_back():
+    sim = Simulator()
+    pool = Resource(sim, "pool", 1)
+    rec = Recorder()
+    log = []
+    pool.request("holder", 1, 1.0, rec.on_grant("holder"), rec.on_renege("holder"))
+    pool.request("x", 1, 5.0, rec.on_grant("x"), _log_renege(log, sim, "x"))
+    pool.request("y", 1, 5.0, rec.on_grant("y"), _log_renege(log, sim, "y"))
+    assert len(sim._heap) == 1
+    # An event scheduled in between sorts after x and y and before z, so z
+    # needs an entry of its own.
+    sim.schedule(5.0, lambda: log.append(("between", sim.now)))
+    pool.request("z", 1, 5.0, rec.on_grant("z"), _log_renege(log, sim, "z"))
+    assert len(sim._heap) == 3
+    sim.run_until(10.0)
+    assert log == [("x", 5.0), ("y", 5.0), ("between", 5.0), ("z", 5.0)]
+    assert pool.stats.renege_count == 3
+
+
+def test_request_after_a_fired_entry_gets_its_own():
+    # run_until stops at the instant a shared entry fired; a request with
+    # patience 0 made then is due at that entry's time, right after it in
+    # seq order, but must not join it: it would never renege.
+    sim = Simulator()
+    pool = Resource(sim, "pool", 1)
+    rec = Recorder()
+    log = []
+    pool.request("holder", 1, 1.0, rec.on_grant("holder"), rec.on_renege("holder"))
+    pool.request("x", 1, 5.0, rec.on_grant("x"), _log_renege(log, sim, "x"))
+    pool.request("y", 1, 5.0, rec.on_grant("y"), _log_renege(log, sim, "y"))
+    sim.run_until(5.0)
+    assert log == [("x", 5.0), ("y", 5.0)]
+    pool.request("z", 1, 0.0, rec.on_grant("z"), _log_renege(log, sim, "z"))
+    sim.run_until(5.0)
+    assert log[2:] == [("z", 5.0)]
+    assert not pool.queue
+    assert pool.stats.renege_count == 3
+
+
+def test_request_from_a_firing_entry_gets_its_own():
+    # A renege callback that queues again with patience 0 is due at the
+    # firing entry's time; it reneges after the entry's own requests.
+    sim = Simulator()
+    pool = Resource(sim, "pool", 1)
+    rec = Recorder()
+    log = []
+
+    def x_reneged():
+        log.append(("x", sim.now))
+        pool.request("z", 1, 0.0, rec.on_grant("z"), _log_renege(log, sim, "z"))
+
+    pool.request("holder", 1, 1.0, rec.on_grant("holder"), rec.on_renege("holder"))
+    pool.request("x", 1, 5.0, rec.on_grant("x"), x_reneged)
+    pool.request("y", 1, 5.0, rec.on_grant("y"), _log_renege(log, sim, "y"))
+    sim.run_until(5.0)
+    assert log == [("x", 5.0), ("y", 5.0), ("z", 5.0)]
+    assert not pool.queue
+
+
+def test_entry_whose_requests_were_all_granted_is_not_joined():
+    # Every request of the entry is granted, which cancels it; a request due
+    # at the same time right after must still renege.
+    sim = Simulator()
+    pool = Resource(sim, "pool", 1)
+    rec = Recorder()
+    log = []
+    pool.request("holder", 1, 1.0, rec.on_grant("holder"), rec.on_renege("holder"))
+    pool.request("x", 1, 5.0, rec.on_grant("x"), _log_renege(log, sim, "x"))
+    pool.release("holder", 1)
+    assert rec.grants == [("holder", 0.0), ("x", 0.0)]
+    pool.request("y", 1, 5.0, rec.on_grant("y"), _log_renege(log, sim, "y"))
+    sim.run_until(10.0)
+    assert log == [("y", 5.0)]
+    assert pool.stats.renege_count == 1

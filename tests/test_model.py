@@ -22,18 +22,20 @@ def _streams(seed=11, rep=0):
 
 
 def _youths(n, bed_seeking, seed):
-    """``n`` youths of one kind, drawn one by one from fresh streams."""
+    """``n`` youths of one kind from fresh streams: a bed-seeker fraction of
+    1 or 0 makes every kind coin come out the same."""
     streams = _streams(seed)
     specs = default_services()
     population = Population(tuple(s.name for s in specs))
-    for _ in range(n):
-        assign_attributes(population, bed_seeking, 0.5, 0.25, specs,
-                          streams["attributes"], streams["needs"])
+    assign_attributes(population, n, 1.0 if bed_seeking else 0.0, 0.5, 0.25,
+                      streams["attributes"].take(6 * n))
     return [population.youth(i) for i in range(n)]
 
 
-def _needs(specs, stream):
-    return dict(zip((s.name for s in specs), build_needs_profile(specs, stream)))
+def _profiles(specs, n, stream):
+    """``n`` consecutive needs profiles, each a dict by service name."""
+    profile, _ = build_needs_profile(specs, n, stream.take(2 * len(specs) * n))
+    return [dict(zip((s.name for s in specs), row)) for row in profile.tolist()]
 
 
 def test_service_only_length_of_stay_range():
@@ -71,8 +73,7 @@ def test_needs_profile_invariants():
     n = 10**5
     insurance_ones = 0
     requests = {s.name: 0 for s in specs}
-    for _ in range(n):
-        needs = _needs(specs, streams["needs"])
+    for needs in _profiles(specs, n, streams["needs"]):
         assert needs["case_management"] >= 2
         assert needs["insurance_enrollment"] in (0, 1)
         for spec in specs:
@@ -95,8 +96,8 @@ def test_weekly_psychiatric_profile_possible():
     streams = _streams(15)
     specs = default_services()
     seen = set()
-    for _ in range(5000):
-        seen.add(_needs(specs, streams["needs"])["psychiatric"])
+    for needs in _profiles(specs, 5000, streams["needs"]):
+        seen.add(needs["psychiatric"])
     assert seen == {0, 1, 2, 3, 4}
 
 

@@ -46,6 +46,21 @@ def test_buffering_matches_raw_generator():
     assert mixed == raw
 
 
+def test_take_shares_the_stream_position():
+    # ``take(n)`` continues wherever ``draws`` stopped, inside a block or at
+    # its edge, and ``draws`` continues after it; 0 takes nothing.
+    seed_seq = np.random.SeedSequence([123, 4, _name_key("arrivals")])
+    raw = np.random.Generator(np.random.PCG64(seed_seq)).random(4000).tolist()
+    stream = RngStream(123, 4, "arrivals")
+    read = []
+    for n in (3, 0, 509, 1, 700, 512, 1):
+        read += [next(stream.draws) for _ in range(n)]
+        taken = stream.take(n)
+        assert taken.dtype == np.float64
+        read += taken.tolist()
+    assert read == raw[:len(read)]
+
+
 def test_draws_are_half_open_unit_interval():
     stream = RngStream(9, 9, "anything")
     draws = [stream.uniform() for _ in range(5000)]
