@@ -29,6 +29,7 @@ from typing import get_args, get_type_hints
 from .kernel import Simulator
 from .model import (
     DAYS_PER_YEAR,
+    MAX_CAPACITY_UNITS,
     FlowCounters,
     Population,
     ServiceSpec,
@@ -45,10 +46,6 @@ STREAM_NAMES = ("arrivals", "attributes", "needs", "redraw")
 # Bound on one replication's work (and its population's memory): baseline
 # replications expect about 2.8k arrivals.
 MAX_EXPECTED_ARRIVALS = 1e6
-
-# Bound on every pool's capacity (bed units, monthly appointments), far above
-# any shelter and well inside float range, where utilization divides by it.
-MAX_CAPACITY_UNITS = 10 ** 9
 
 # Bound on the (value, replication) pairs one command runs, and so on its
 # lists of pairs and of kept records (about 2.5 KB per replication).
@@ -118,9 +115,6 @@ class ScenarioConfig:
             errors.append("services: names must be unique")
         for i, spec in enumerate(self.services):
             errors.extend(spec.validation_errors(path=f"services[{i}]."))
-            if spec.capacity_units > MAX_CAPACITY_UNITS:
-                errors.append(f"services[{i}].capacity_units: must be at most "
-                              f"{MAX_CAPACITY_UNITS:,}")
         if self.annual_arrivals < 0:
             errors.append("annual_arrivals: must be >= 0")
         for name in ("bsy_fraction", "age_16_20_fraction", "renege_exit_prob"):
@@ -461,8 +455,8 @@ def run_replication(config: ScenarioConfig, replication: int,
     model = ShelterModel(
         sim, config.bed_capacity, list(config.services),
         population=replication_population(config, replication, streams),
-        redraw_los_on_bed_renege=config.redraw_los_on_bed_renege,
-        streams=streams, trace=trace,
+        redraw=streams["redraw"] if config.redraw_los_on_bed_renege else None,
+        trace=trace,
     )
     model.start()
     sim.run_until(config.warmup_days)

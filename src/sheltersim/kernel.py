@@ -81,17 +81,15 @@ class PendingRequest:
     """
 
     __slots__ = (
-        "pool", "entity_id", "units", "enqueue_time", "renege_deadline",
-        "on_grant", "on_renege", "timer", "counted",
+        "pool", "entity_id", "units", "enqueue_time", "on_grant", "on_renege",
+        "timer", "counted",
     )
 
-    def __init__(self, pool, entity_id, units, enqueue_time, renege_deadline,
-                 on_grant, on_renege):
+    def __init__(self, pool, entity_id, units, enqueue_time, on_grant, on_renege):
         self.pool = pool
         self.entity_id = entity_id
         self.units = units
         self.enqueue_time = enqueue_time
-        self.renege_deadline = renege_deadline
         self.on_grant = on_grant
         self.on_renege = on_renege
         self.timer: EventHandle | None = None
@@ -202,7 +200,8 @@ class Resource:
             stats.served_waits.append(0.0)
             on_grant(0.0)
             return
-        req = PendingRequest(self, entity_id, units, now, now + patience, on_grant, on_renege)
+        req = PendingRequest(self, entity_id, units, now, on_grant, on_renege)
+        deadline = now + patience
         # A request due when the entry scheduled just before it fires, while
         # that entry is a pending renege entry, joins it: no entry can sort
         # between two consecutive seqs at one time, so the entry reneging its
@@ -210,12 +209,10 @@ class Resource:
         # service requests, all due at ``now + service_patience``, share one.
         sim = self.sim
         entry = sim._renege_entry
-        if (entry is not None and entry[1] == sim._seq - 1
-                and entry[0] == req.renege_deadline):
+        if entry is not None and entry[1] == sim._seq - 1 and entry[0] == deadline:
             entry[3][0].append(req)
         else:
-            entry = sim._renege_entry = sim.schedule(
-                req.renege_deadline, self._renege_due, [req])
+            entry = sim._renege_entry = sim.schedule(deadline, self._renege_due, [req])
         req.timer = entry
         self.queue.append(req)
 

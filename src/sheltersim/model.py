@@ -39,6 +39,10 @@ DAYS_PER_YEAR = 365.25
 
 BED_RESOURCE = "crisis_beds"
 
+# Bound on every pool's capacity (bed units, monthly appointments), far above
+# any shelter and well inside float range, where utilization divides by it.
+MAX_CAPACITY_UNITS = 10 ** 9
+
 # Stay-attribute distributions (days).
 LOS_BED_SEEKING_16_20 = TriangularParams(30, 75, 90)
 LOS_BED_SEEKING_21_24 = TriangularParams(60, 120, 180)
@@ -67,6 +71,8 @@ class ServiceSpec:
             errors.append(f"{path}name: must be non-empty")
         if self.capacity_units < 0 or int(self.capacity_units) != self.capacity_units:
             errors.append(f"{path}capacity_units: must be a non-negative integer")
+        elif self.capacity_units > MAX_CAPACITY_UNITS:
+            errors.append(f"{path}capacity_units: must be at most {MAX_CAPACITY_UNITS:,}")
         if not 0.0 <= self.request_prob <= 1.0:
             errors.append(f"{path}request_prob: must be within [0, 1], got {self.request_prob}")
         if self.appt_min < 1:
@@ -166,7 +172,8 @@ class Population:
     Times and stay attributes are ``array('d')`` columns and the yes/no
     attributes ``bytearray`` columns. Appointment counts are one flat list
     holding one int per youth and service, in the order of ``names``; a list
-    rather than a fixed-width array because ``appt_max`` has no upper bound.
+    because ``youth(i)`` hands out a slice of it as the youth's needs, which
+    the trace's arrival entry carries and JSON writes as a list.
     """
 
     __slots__ = ("names", "times", "bed_seeking", "age_16_20", "exits",
@@ -334,8 +341,10 @@ class ShelterModel:
 
     The model owns the resources and the youth state machine. Arrivals come
     from a pre-drawn ``population`` (``start``); tests can instead inject
-    fully specified youths through ``admit``. Only the ``redraw`` stream is
-    read during the run, because whether it is used depends on contention.
+    fully specified youths through ``admit``. When ``redraw`` is given, a
+    bed seeker who gives up on a bed and stays redraws their stay from it:
+    the run's only draw, made during the run because whether it is made
+    depends on contention.
 
     The ``trace`` list, when supplied, is the only record of what happened
     to each youth; every state change appends one tuple to it:
@@ -352,8 +361,7 @@ class ShelterModel:
 
     def __init__(self, sim: Simulator, bed_capacity: int, services: list[ServiceSpec],
                  population: Population | None = None,
-                 redraw_los_on_bed_renege: bool = False,
-                 streams: dict[str, RngStream] | None = None,
+                 redraw: RngStream | None = None,
                  trace: list | None = None):
         self.sim = sim
         self.beds = Resource(sim, BED_RESOURCE, bed_capacity)
@@ -362,8 +370,7 @@ class ShelterModel:
         # Every pool, beds first.
         self.pools = (self.beds, *self.service_pools)
         self.population = population
-        self.redraw_los_on_bed_renege = redraw_los_on_bed_renege
-        self.streams = streams
+        self.redraw = redraw
         self.trace = trace
         self.counters = FlowCounters()
         self._stats_on = False
@@ -445,9 +452,8 @@ class ShelterModel:
         if exits:
             self._depart(youth, "left_unserved")
             return
-        if self.redraw_los_on_bed_renege:
-            u = self.streams["redraw"].uniform()
-            youth.length_of_stay = sample_triangular(LOS_SERVICE_ONLY, u)
+        if self.redraw is not None:
+            youth.length_of_stay = sample_triangular(LOS_SERVICE_ONLY, self.redraw.uniform())
         self._start_services(youth)
 
     def _start_services(self, youth: Youth) -> None:

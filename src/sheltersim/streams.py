@@ -9,11 +9,8 @@ repeatable and lets swept scenarios share common random numbers.
 from __future__ import annotations
 
 import hashlib
-from itertools import chain, islice
 
 import numpy as np
-
-_BLOCK = 512
 
 
 def _name_key(name: str) -> int:
@@ -24,14 +21,13 @@ def _name_key(name: str) -> int:
 class RngStream:
     """Uniform [0, 1) stream backed by PCG64.
 
-    The stream has one position, shared by three ways of reading it: hot
-    loops call ``next(stream.draws)``, an iterator filled a block at a time;
-    ``uniform()`` is the same step as a method; ``take(n)`` hands out the
-    next n draws as one array. They can be mixed, and the n-th draw is the
-    same value whichever way it is read.
+    ``uniform()`` reads the next draw and ``take(n)`` the next n as one
+    array, both straight from the generator. PCG64 doubles do not depend on
+    how many are drawn at once, so the two can be mixed and the n-th draw is
+    the same value whichever way it is read.
     """
 
-    __slots__ = ("name", "draws", "_gen", "_block")
+    __slots__ = ("name", "_gen")
 
     def __init__(self, master_seed: int, replication: int, name: str):
         if master_seed < 0 or replication < 0:
@@ -39,26 +35,11 @@ class RngStream:
         self.name = name
         seq = np.random.SeedSequence([int(master_seed), int(replication), _name_key(name)])
         self._gen = np.random.Generator(np.random.PCG64(seq))
-        # The iterator over the block ``draws`` is reading, for ``take``.
-        self._block = [iter(())]
-        self.draws = chain.from_iterable(_blocks(self._gen, self._block))
 
     def uniform(self) -> float:
         """Next draw in [0, 1)."""
-        return next(self.draws)
+        return self._gen.random()
 
     def take(self, n: int) -> np.ndarray:
-        """The next ``n`` draws as a float64 array: the rest of the block
-        ``draws`` is reading, then fresh draws from the generator."""
-        rest = list(islice(self._block[0], n))
-        # PCG64 doubles do not depend on how many are drawn at once, so the
-        # block ``draws`` fills next starts where this array ends.
-        return np.concatenate((rest, self._gen.random(n - len(rest))))
-
-
-def _blocks(gen: np.random.Generator, current: list):
-    # PCG64 doubles do not depend on the block size, so neither does the
-    # draw sequence.
-    while True:
-        current[0] = block = iter(gen.random(_BLOCK).tolist())
-        yield block
+        """The next ``n`` draws as a float64 array."""
+        return self._gen.random(n)

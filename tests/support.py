@@ -88,29 +88,29 @@ def reference_population(specs, annual_arrivals, bsy_fraction, age_16_20_fractio
     if annual_arrivals <= 0:
         return population
     gap = ExponentialParams(DAYS_PER_YEAR / annual_arrivals)
-    arrivals, attr, needs = (streams[name].draws for name in ("arrivals", "attributes", "needs"))
+    arrival, attr, need = (streams[name].uniform for name in ("arrivals", "attributes", "needs"))
     t = 0.0
-    while (t := t + sample_exponential(gap, 1.0 - next(arrivals))) <= horizon:
+    while (t := t + sample_exponential(gap, 1.0 - arrival())) <= horizon:
         population.times.append(t)
-        bed_seeking = next(attr) < bsy_fraction
+        bed_seeking = attr() < bsy_fraction
         if bed_seeking:
-            young = next(attr) < age_16_20_fraction
+            young = attr() < age_16_20_fraction
             los = sample_triangular(LOS_BED_SEEKING_16_20 if young else LOS_BED_SEEKING_21_24,
-                                    next(attr))
-            bed_patience = sample_triangular(BED_PATIENCE, next(attr))
-            exits = next(attr) < renege_exit_prob
+                                    attr())
+            bed_patience = sample_triangular(BED_PATIENCE, attr())
+            exits = attr() < renege_exit_prob
         else:
             young = exits = False
-            los = sample_triangular(LOS_SERVICE_ONLY, next(attr))
+            los = sample_triangular(LOS_SERVICE_ONLY, attr())
             bed_patience = 0.0
         population.bed_seeking.append(bed_seeking)
         population.age_16_20.append(young)
         population.exits.append(exits)
         population.length_of_stay.append(los)
         population.bed_patience.append(bed_patience)
-        population.service_patience.append(sample_triangular(SERVICE_PATIENCE, next(attr)))
-        population.needs.extend(sample_uniform_int(spec.appt_min, spec.appt_max, next(needs))
-                                if next(needs) < spec.request_prob else 0
+        population.service_patience.append(sample_triangular(SERVICE_PATIENCE, attr()))
+        population.needs.extend(sample_uniform_int(spec.appt_min, spec.appt_max, need())
+                                if need() < spec.request_prob else 0
                                 for spec in specs)
     return population
 

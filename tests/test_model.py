@@ -3,8 +3,10 @@ state machine on scripted entities, and arrival generation."""
 
 import math
 
+from sheltersim.distributions import sample_triangular
 from sheltersim.experiment import build_streams, run_replication
 from sheltersim.model import (
+    LOS_SERVICE_ONLY,
     Population,
     ServiceSpec,
     ShelterModel,
@@ -188,9 +190,12 @@ def test_renege_to_stay_can_redraw_stay_length():
                             age="21-24", exits=False)
     sim, model, trace = scripted_model(
         1, [("case_management", 10)], [(0.0, holder), (1.0, stayer)],
-        redraw_los_on_bed_renege=True, streams=_streams(99))
+        redraw=_streams(99)["redraw"])
     sim.run_until(300.0)
-    # The redrawn stay comes from the service-only row, far below 170 days.
+    # The stayer reads the redraw stream's first draw, through the
+    # service-only row: far below 170 days.
+    assert stayer.length_of_stay == sample_triangular(
+        LOS_SERVICE_ONLY, build_streams(99, 0)["redraw"].uniform())
     assert 7.0 <= stayer.length_of_stay <= 30.0
     assert ("depart", 1.0 + stayer.length_of_stay, 2, "served_then_left") in trace
 
@@ -200,8 +205,7 @@ def test_no_arrivals_at_zero_rate():
     population = draw_population(default_services(), 0.0, 1 / 3, 0.92, 0.25,
                                  _streams(1), 365.25)
     assert len(population) == 0
-    model = ShelterModel(sim, 5, default_services(), population=population,
-                         streams=_streams(1))
+    model = ShelterModel(sim, 5, default_services(), population=population)
     model.start()
     sim.run_until(365.25)
     assert model.counters.arrivals == 0
@@ -244,7 +248,7 @@ def test_conservation_after_drain():
     trace: list = []
     model = ShelterModel(
         sim, cfg.bed_capacity, list(cfg.services), population=population,
-        streams=streams, trace=trace,
+        trace=trace,
     )
     model.reset_statistics()
     model.start()

@@ -1,5 +1,6 @@
 """Stream reproducibility: identical triples give identical sequences, the
-internal buffering never changes draw order, and distinct names diverge."""
+two ways of reading a stream share one draw order, and distinct names
+diverge."""
 
 import hashlib
 
@@ -30,33 +31,26 @@ def test_distinct_replications_diverge():
     assert [a.uniform() for _ in range(100)] != [b.uniform() for _ in range(100)]
 
 
-def test_buffering_matches_raw_generator():
-    # The block-buffered draws must reproduce the plain generator sequence,
-    # across block boundaries, whether read through ``uniform()``, through
-    # ``next(stream.draws)``, or through both in turn: they share one position.
+def test_uniform_matches_raw_generator():
     seed_seq = np.random.SeedSequence([123, 4, _name_key("arrivals")])
     raw = np.random.Generator(np.random.PCG64(seed_seq)).random(1300).tolist()
     stream = RngStream(123, 4, "arrivals")
     assert [stream.uniform() for _ in range(1300)] == raw
 
-    # One draw in three through ``uniform()``: the two ways take turns on
-    # both sides of every 512-draw block edge.
-    stream = RngStream(123, 4, "arrivals")
-    mixed = [stream.uniform() if i % 3 == 0 else next(stream.draws) for i in range(1300)]
-    assert mixed == raw
-
 
 def test_take_shares_the_stream_position():
-    # ``take(n)`` continues wherever ``draws`` stopped, inside a block or at
-    # its edge, and ``draws`` continues after it; 0 takes nothing.
+    # ``take(n)`` continues wherever ``uniform()`` stopped and ``uniform()``
+    # continues after it, so the n-th draw is one value however reads mix;
+    # 0 takes nothing.
     seed_seq = np.random.SeedSequence([123, 4, _name_key("arrivals")])
     raw = np.random.Generator(np.random.PCG64(seed_seq)).random(4000).tolist()
     stream = RngStream(123, 4, "arrivals")
     read = []
     for n in (3, 0, 509, 1, 700, 512, 1):
-        read += [next(stream.draws) for _ in range(n)]
+        read += [stream.uniform() for _ in range(n)]
         taken = stream.take(n)
         assert taken.dtype == np.float64
+        assert taken.shape == (n,)
         read += taken.tolist()
     assert read == raw[:len(read)]
 
