@@ -421,16 +421,11 @@ def replication_population(config: ScenarioConfig, replication: int,
     return _population_cache[1]
 
 
-def _collect(config: ScenarioConfig, replication: int, model: ShelterModel,
-             horizon: float) -> ReplicationStats:
+def _collect(replication: int, model: ShelterModel) -> ReplicationStats:
     resources = {}
     for res in model.pools:
         s = res.stats
         waits = s.served_waits
-        if res.capacity > 0 and horizon > config.warmup_days:
-            utilization = res.utilization()
-        else:
-            utilization = None
         resources[res.name] = ResourceWindowStats(
             requests=s.request_count,
             served=len(waits),
@@ -438,7 +433,7 @@ def _collect(config: ScenarioConfig, replication: int, model: ShelterModel,
             still_queued=res.still_queued_counted(),
             avg_wait=_total(waits) / len(waits) if waits else None,
             max_wait=max(waits) if waits else None,
-            utilization=utilization,
+            utilization=res.utilization(),
         )
     return ReplicationStats(replication=replication, resources=resources,
                             **vars(model.counters))
@@ -461,9 +456,8 @@ def run_replication(config: ScenarioConfig, replication: int,
     model.start()
     sim.run_until(config.warmup_days)
     model.reset_statistics()
-    horizon = config.warmup_days + config.stats_window_days
-    sim.run_until(horizon)
-    stats = _collect(config, replication, model, horizon)
+    sim.run_until(config.warmup_days + config.stats_window_days)
+    stats = _collect(replication, model)
     # Pending entries hold the model's methods and queued requests hold their
     # timers: emptying both lets reference counting free the run at once.
     for entry in sim._heap:

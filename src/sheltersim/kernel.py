@@ -8,6 +8,7 @@ randomness lives entirely in the callers (see :mod:`sheltersim.streams`).
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -48,7 +49,7 @@ class Simulator:
 
     def schedule(self, time: float, fn: Callable, *args) -> EventHandle:
         """Schedule ``fn(*args)`` at ``time``. Scheduling in the past is a bug."""
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise ValueError(
                 f"cannot schedule at t={time} before current clock t={self.now}"
             )
@@ -59,7 +60,7 @@ class Simulator:
 
     def run_until(self, t_end: float) -> float:
         """Process every event with time <= t_end; leave the clock at t_end."""
-        if t_end < self.now:
+        if not t_end >= self.now:  # also rejects NaN
             raise ValueError(f"t_end={t_end} is before current clock t={self.now}")
         heap = self._heap
         pop = heapq.heappop
@@ -111,15 +112,15 @@ class Resource:
 
     Grants are strict FIFO: a request that fits behind a head that does not
     fit keeps waiting. An ungranted request leaves the queue at exactly
-    ``enqueue_time + patience``. Holdings are tracked per entity so a later
-    release can be checked against what is actually held.
+    ``enqueue_time + patience``. Holdings are tracked per entity, and a
+    release returns every unit the entity holds.
     """
 
     __slots__ = ("sim", "name", "capacity", "busy", "queue", "stats",
                  "_held", "_last_ts", "_window_start")
 
     def __init__(self, sim: Simulator, name: str, capacity: int):
-        if capacity < 0 or int(capacity) != capacity:
+        if not (0 <= capacity < math.inf and int(capacity) == capacity):
             raise ValueError(f"{name}: capacity must be a non-negative integer")
         self.sim = sim
         self.name = name
@@ -142,21 +143,19 @@ class Resource:
     def reset_statistics(self) -> None:
         """Zero all counters and restart busy-time integration at the current
         clock. Requests already in the queue stop counting toward totals."""
-        self._advance_integral()
         self.stats = ResourceStats()
         self._last_ts = self.sim.now
         self._window_start = self.sim.now
         for req in self.queue:
             req.counted = False
 
-    def utilization(self) -> float:
+    def utilization(self) -> float | None:
         """Time-averaged fraction of units held from the last statistics
-        reset (or creation) to now."""
-        if self.capacity == 0:
-            raise ValueError(f"{self.name}: utilization undefined for zero capacity")
+        reset (or creation) to now; ``None`` when it is undefined, for a
+        zero-capacity pool or an empty window."""
         window = self.sim.now - self._window_start
-        if window <= 0:
-            raise ValueError(f"{self.name}: utilization undefined for an empty window")
+        if self.capacity == 0 or window <= 0:
+            return None
         self._advance_integral()
         return self.stats.busy_time_integral / (self.capacity * window)
 
@@ -216,22 +215,16 @@ class Resource:
         req.timer = entry
         self.queue.append(req)
 
-    def release(self, entity_id, units: int) -> None:
-        """Return units to the pool and re-examine the queue head."""
-        held = self._held.get(entity_id, 0)
-        if units > held:
-            raise ValueError(
-                f"{self.name}: entity {entity_id} holds {held} units, cannot release {units}"
-            )
+    def release(self, entity_id) -> None:
+        """Return every unit ``entity_id`` holds and re-examine the queue head."""
+        units = self._held.pop(entity_id, 0)
+        if not units:
+            raise ValueError(f"{self.name}: entity {entity_id} holds no units")
         now = self.sim.now
         if now > self._last_ts:
             self.stats.busy_time_integral += self.busy * (now - self._last_ts)
             self._last_ts = now
         self.busy -= units
-        if held == units:
-            del self._held[entity_id]
-        else:
-            self._held[entity_id] = held - units
         if self.queue:
             self._dispatch()
 

@@ -514,5 +514,5 @@ class ShelterModel:
         if self.trace is not None:
             self.trace.append(("depart", self.sim.now, youth.id, outcome))
         for pool in youth.held:
-            pool.release(youth.id, pool.held_by(youth.id))
+            pool.release(youth.id)
         youth.held.clear()

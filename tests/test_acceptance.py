@@ -177,7 +177,7 @@ def _run_case(capacity: int, requests) -> list[tuple]:
 
     def released(entity, units):
         log.append(("release", sim.now, entity, units))
-        resource.release(entity, units)
+        resource.release(entity)
 
     for t, entity, units, patience, hold in requests:
         sim.schedule(t, issue, entity, units, patience, hold)

@@ -79,6 +79,11 @@ def test_zero_warmup_zero_window_yields_zero_counters():
         assert res.utilization is None
 
 
+def test_zero_capacity_pool_has_no_utilization():
+    stats = run_replication(mini_config(bed_capacity=0, bsy_fraction=0.0), 0)
+    assert stats.resources["crisis_beds"].utilization is None
+
+
 def test_flow_conservation_every_replication():
     cfg = mini_config(replications=6)
     summary = run_scenario(cfg)

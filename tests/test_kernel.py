@@ -42,6 +42,17 @@ def test_scheduling_in_the_past_is_an_error():
         sim.schedule(3.0, lambda: None)
 
 
+def test_nan_times_are_errors():
+    sim = Simulator()
+    sim.run_until(4.0)
+    with pytest.raises(ValueError):
+        sim.schedule(float("nan"), lambda: None)
+    with pytest.raises(ValueError):
+        sim.run_until(float("nan"))
+    assert sim.now == 4.0
+    assert sim._heap == []
+
+
 def test_run_until_empty_calendar_advances_clock():
     sim = Simulator()
     assert sim.run_until(365.0) == 365.0
@@ -116,7 +127,7 @@ def test_grant_after_wait():
     res = Resource(sim, "pool", 1)
     rec = Recorder()
     res.request("holder", 1, 1.0, rec.on_grant("holder"), rec.on_renege("holder"))
-    sim.schedule(4.0, res.release, "holder", 1)
+    sim.schedule(4.0, res.release, "holder")
     sim.schedule(0.0, res.request, "waiter", 1, 7.0,
                  rec.on_grant("waiter"), rec.on_renege("waiter"))
     sim.run_until(10.0)
@@ -131,7 +142,7 @@ def test_renege_at_exact_deadline():
     rec = Recorder()
     events = []
     res.request("holder", 1, 1.0, rec.on_grant("holder"), rec.on_renege("holder"))
-    sim.schedule(10.0, res.release, "holder", 1)
+    sim.schedule(10.0, res.release, "holder")
     sim.schedule(0.0, res.request, "waiter", 1, 7.0,
                  rec.on_grant("waiter"),
                  lambda: events.append(("reneged", sim.now)))
@@ -153,7 +164,7 @@ def test_multi_unit_head_blocks_smaller_request_behind():
     res.request("small", 1, 100.0, rec.on_grant("small"), rec.on_renege("small"))
     assert [label for label, _ in rec.grants] == ["h1", "h2"]
 
-    sim.schedule(5.0, res.release, "h1", 1)
+    sim.schedule(5.0, res.release, "h1")
     sim.run_until(5.0)
     # Hand trace: busy 2 after the release, head needs 2, 2+2 > 3, so the
     # queue must not move even though "small" would fit.
@@ -161,7 +172,7 @@ def test_multi_unit_head_blocks_smaller_request_behind():
     assert res.busy == 2
     assert len(res.queue) == 2
 
-    sim.schedule(6.0, res.release, "h2", 2)
+    sim.schedule(6.0, res.release, "h2")
     sim.run_until(6.0)
     # Now both fit, in order.
     assert rec.grants == [("h1", 0.0), ("h2", 0.0), ("big", 6.0), ("small", 6.0)]
@@ -187,7 +198,7 @@ def test_release_decrements_and_regrants():
     rec = Recorder()
     res.request("a", 2, 5.0, rec.on_grant("a"), rec.on_renege("a"))
     res.request("b", 1, 50.0, rec.on_grant("b"), rec.on_renege("b"))
-    sim.schedule(3.0, res.release, "a", 2)
+    sim.schedule(3.0, res.release, "a")
     sim.run_until(3.0)
     assert res.busy == 1
     assert rec.grants == [("a", 0.0), ("b", 3.0)]
@@ -199,18 +210,26 @@ def test_release_with_empty_queue_grants_nothing():
     res = Resource(sim, "pool", 2)
     rec = Recorder()
     res.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
-    res.release("a", 1)
+    res.release("a")
     assert res.busy == 0
     assert rec.grants == [("a", 0.0)]
 
 
-def test_over_release_is_an_error():
+def test_release_by_an_entity_holding_nothing_is_an_error():
     sim = Simulator()
     res = Resource(sim, "pool", 2)
     rec = Recorder()
     res.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
-    with pytest.raises(ValueError):
-        res.release("a", 2)
+    with pytest.raises(ValueError, match="pool: entity b holds no units"):
+        res.release("b")
+    assert res.busy == 1
+    assert res._held == {"a": 1}
+
+
+@pytest.mark.parametrize("capacity", [-1, 1.5, float("inf"), float("nan")])
+def test_capacity_must_be_a_non_negative_integer(capacity):
+    with pytest.raises(ValueError, match="pool: capacity must be a non-negative integer"):
+        Resource(Simulator(), "pool", capacity)
 
 
 def test_unsatisfiable_request_is_an_error():
@@ -237,26 +256,24 @@ def test_utilization_half_window_one_of_two_units():
     res = Resource(sim, "pool", 2)
     rec = Recorder()
     res.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
-    sim.schedule(5.0, res.release, "a", 1)
+    sim.schedule(5.0, res.release, "a")
     sim.run_until(10.0)
     assert res.utilization() == pytest.approx(0.25)
 
 
-def test_utilization_zero_capacity_is_an_error():
+def test_utilization_of_zero_capacity_is_none():
     sim = Simulator()
     res = Resource(sim, "pool", 0)
     sim.run_until(10.0)
-    with pytest.raises(ValueError):
-        res.utilization()
+    assert res.utilization() is None
 
 
-def test_utilization_of_an_empty_window_is_an_error():
+def test_utilization_of_an_empty_window_is_none():
     sim = Simulator()
     res = Resource(sim, "pool", 1)
     sim.run_until(10.0)
     res.reset_statistics()
-    with pytest.raises(ValueError, match="empty window"):
-        res.utilization()
+    assert res.utilization() is None
 
 
 def test_statistics_reset_discards_warmup_counts():
@@ -266,13 +283,13 @@ def test_statistics_reset_discards_warmup_counts():
     res.request("w", 1, 5.0, rec.on_grant("w"), rec.on_renege("w"))
     # Queued during warm-up, granted inside the window: must not be counted.
     res.request("q", 1, 100.0,
-                lambda wait: sim.schedule(sim.now + 2.0, res.release, "q", 1),
+                lambda wait: sim.schedule(sim.now + 2.0, res.release, "q"),
                 rec.on_renege("q"))
     sim.run_until(10.0)
     res.reset_statistics()
     assert res.stats.request_count == 0
     assert res.stats.busy_time_integral == 0.0
-    sim.schedule(12.0, res.release, "w", 1)
+    sim.schedule(12.0, res.release, "w")
     sim.run_until(20.0)
     assert res.stats.served_waits == []
     assert res.stats.renege_count == 0
@@ -287,7 +304,7 @@ def test_request_conservation_identity():
     res.request("a", 2, 1.0, rec.on_grant("a"), rec.on_renege("a"))
     res.request("b", 1, 3.0, rec.on_grant("b"), rec.on_renege("b"))
     res.request("c", 1, 100.0, rec.on_grant("c"), rec.on_renege("c"))
-    sim.schedule(50.0, res.release, "a", 2)
+    sim.schedule(50.0, res.release, "a")
     sim.run_until(60.0)
     s = res.stats
     assert s.request_count == len(s.served_waits) + s.renege_count + res.still_queued_counted()
@@ -312,7 +329,7 @@ def test_one_entity_shares_a_renege_entry_across_pools():
     log = []
     for pool in pools:
         pool.request("holder", 1, 1.0, rec.on_grant("holder"), rec.on_renege("holder"))
-    sim.schedule(2.0, pools[1].release, "holder", 1)
+    sim.schedule(2.0, pools[1].release, "holder")
     for pool in pools:
         pool.request("y", 1, 5.0, rec.on_grant(pool.name), _log_renege(log, sim, pool.name))
     assert len(sim._heap) == 2
@@ -393,7 +410,7 @@ def test_entry_whose_requests_were_all_granted_is_not_joined():
     log = []
     pool.request("holder", 1, 1.0, rec.on_grant("holder"), rec.on_renege("holder"))
     pool.request("x", 1, 5.0, rec.on_grant("x"), _log_renege(log, sim, "x"))
-    pool.release("holder", 1)
+    pool.release("holder")
     assert rec.grants == [("holder", 0.0), ("x", 0.0)]
     pool.request("y", 1, 5.0, rec.on_grant("y"), _log_renege(log, sim, "y"))
     sim.run_until(10.0)
