@@ -11,7 +11,6 @@ import csv
 import hashlib
 import json
 import os
-import platform
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -188,7 +187,7 @@ def write_manifest(out_path: str, command: str, config: ScenarioConfig) -> str:
         "replications": config.replications,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [os.path.abspath(out_path)],
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],
         "numpy": np.__version__,
         "output_sha256": {os.path.abspath(out_path): _file_sha256(out_path)},
     }
@@ -199,20 +198,20 @@ def write_manifest(out_path: str, command: str, config: ScenarioConfig) -> str:
 
 
 def print_summary_table(summary: ScenarioSummary, heading: str | None = None) -> None:
+    """Print the CSV rows of ``summary`` (see ``_rows``) as a table."""
     if heading:
         print(heading)
     print(f"{'Resource':<24}{'Avg Wait (d)':>14}{'Max Wait (d)':>14}"
           f"{'Utilization':>14}{'Reneged':>10}")
-    for name, res in summary.resources.items():
-        util = "" if res.utilization is None else f"{100.0 * res.utilization:.1f}%"
-        reneged = "" if res.renege_pct is None else f"{res.renege_pct:.1f}%"
-        print(f"{name:<24}{_fmt(res.avg_wait, 2):>14}{_fmt(res.max_wait, 2):>14}"
-              f"{util:>14}{reneged:>10}")
+    rows = list(_rows(summary))
+    for row in rows[:len(summary.resources)]:
+        util, reneged = row["utilization_pct"], row["pct_reneged"]
+        print(f"{row['name']:<24}{row['avg_wait_days']:>14}{row['max_wait_days']:>14}"
+              f"{util and util + '%':>14}{reneged and reneged + '%':>10}")
     n = len(summary.replications)
     print(f"Youth flow (means over {n} replication{'s' if n != 1 else ''}):")
-    for key, label in FLOW_LABELS.items():
-        mean, _ci = summary.flows[key]
-        print(f"  {label:<30}{mean:>10.2f}")
+    for row in rows[len(summary.resources):]:
+        print(f"  {row['name']:<30}{row['value']:>10}")
 
 
 # -- commands --------------------------------------------------------------------
@@ -220,19 +219,23 @@ def print_summary_table(summary: ScenarioSummary, heading: str | None = None) ->
 
 def _run_to_csv(args, config: ScenarioConfig, run, write):
     """The output sequence of ``simulate`` and ``sweep``: open ``args.out``
-    (before the run, so an unwritable path fails at once), ``write(fh,
-    run())``, removing the file if either fails, then write the manifest.
-    Returns the run's result and the manifest path."""
+    without truncating it (before the run, so an unwritable path fails at
+    once), then ``write(fh, run())`` into it, then write the manifest.
+    Returns the run's result and the manifest path. If the run or the write
+    fails, the file is removed when this call created it; an existing file
+    is left as it was unless the write itself failed."""
+    created = not os.path.lexists(args.out)
     try:
-        fh = open(args.out, "w", encoding="utf-8", newline="")
+        open(args.out, "a").close()
     except OSError as exc:
         raise OSError(f"cannot write {args.out}: {exc}") from exc
     try:
-        with fh:
-            result = run()
+        result = run()
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write(fh, result)
     except BaseException:
-        os.unlink(args.out)
+        if created:
+            os.unlink(args.out)
         raise
     return result, write_manifest(args.out, args.command, config)
 

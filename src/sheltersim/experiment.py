@@ -259,27 +259,26 @@ class ScenarioSummary:
     per-replication records they were built from."""
 
     resources: dict[str, ResourceSummary]
-    flows: dict[str, tuple[float, float | None]]
+    flows: dict[str, tuple[float | None, float | None]]
     replications: list[ReplicationStats]
 
 
-def t_halfwidth(values: list[float], confidence: float = 0.95) -> float | None:
-    """Half-width of the Student-t confidence interval for the mean.
-
-    Undefined (None) with fewer than two values.
-    """
+def estimate(values) -> tuple[float | None, float | None]:
+    """Mean of the ``values`` that are not None, and the half-width of its
+    95% Student-t confidence interval. The half-width is None with fewer
+    than two values, and the mean too with none."""
+    values = [v for v in values if v is not None]
     n = len(values)
-    if n < 2:
-        return None
+    if not n:
+        return None, None
     mean = _total(values) / n
+    if n < 2:
+        return mean, None
     var = _total((v - mean) ** 2 for v in values) / (n - 1)
-    if var == 0.0:
-        return 0.0
-    crit = t_quantile(0.5 + confidence / 2.0, n - 1)
-    return crit * math.sqrt(var / n)
+    return mean, t_quantile(0.975, n - 1) * math.sqrt(var / n)
 
 
-# Cached because ``summarize`` asks for the same quantile for every metric.
+# Cached because ``estimate`` asks for the same quantile for every metric.
 @lru_cache(maxsize=256)
 def t_quantile(p: float, df: float) -> float:
     """The ``p``-quantile of Student's t distribution with ``df`` degrees of
@@ -473,30 +472,14 @@ def summarize(reps: list[ReplicationStats]) -> ScenarioSummary:
     resources = {}
     for name in resource_names:
         per_rep = [r.resources[name] for r in reps]
-        avg_waits = [s.avg_wait for s in per_rep if s.avg_wait is not None]
-        max_waits = [s.max_wait for s in per_rep if s.max_wait is not None]
-        utils = [s.utilization for s in per_rep if s.utilization is not None]
-        renege_pcts = [s.renege_pct for s in per_rep if s.renege_pct is not None]
         resources[name] = ResourceSummary(
-            avg_wait=_mean(avg_waits),
-            avg_wait_ci=t_halfwidth(avg_waits),
-            max_wait=max(max_waits) if max_waits else None,
-            utilization=_mean(utils),
-            utilization_ci=t_halfwidth(utils),
-            renege_pct=_mean(renege_pcts),
-            renege_pct_ci=t_halfwidth(renege_pcts),
+            *estimate(s.avg_wait for s in per_rep),
+            max((s.max_wait for s in per_rep if s.max_wait is not None), default=None),
+            *estimate(s.utilization for s in per_rep),
+            *estimate(s.renege_pct for s in per_rep),
         )
-    flows = {}
-    for fieldname in FLOW_LABELS:
-        values = [float(getattr(r, fieldname)) for r in reps]
-        flows[fieldname] = (_mean(values) or 0.0, t_halfwidth(values))
+    flows = {name: estimate(getattr(r, name) for r in reps) for name in FLOW_LABELS}
     return ScenarioSummary(resources=resources, flows=flows, replications=reps)
-
-
-def _mean(values: list) -> float | None:
-    if not values:
-        return None
-    return _total(values) / len(values)
 
 
 def _total(values) -> float:

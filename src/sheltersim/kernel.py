@@ -176,8 +176,12 @@ class Resource:
 
         Immediate grant (wait 0) happens only when the queue is empty and the
         units fit; otherwise the request queues behind everyone else. Exactly
-        one of the callbacks fires, possibly synchronously.
+        one of the callbacks fires, possibly synchronously. ``patience`` must
+        be >= 0 (infinite waits forever); a negative or NaN one raises
+        ``ValueError`` before the request is counted or queued.
         """
+        if not patience >= 0:  # also rejects NaN
+            raise ValueError(f"{self.name}: patience must be >= 0, got {patience}")
         if units < 1:
             raise ValueError(f"{self.name}: requested units must be >= 1, got {units}")
         if units > self.capacity:

@@ -310,6 +310,19 @@ def test_jobs_below_one_exits_2(tmp_path, capsys):
     assert "config error: jobs: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--param", "bed_capacity", "--values", "66,0"),
+    ("sweep", "--param", "service:yoga", "--values", "5"),
+    ("simulate", "--jobs", "0"),
+])
+def test_failed_command_leaves_an_existing_out_unchanged(tmp_path, argv):
+    out = tmp_path / "results.csv"
+    out.write_bytes(b"earlier results\n")
+    assert run_cli(*argv, "--out", str(out), *FAST_OVERRIDES) == 2
+    assert out.read_bytes() == b"earlier results\n"
+    assert not (tmp_path / "results.csv.manifest.json").exists()
+
+
 def _modules_after_serial_simulate(tmp_path) -> list[str]:
     """Modules loaded by a fresh interpreter that imports the CLI and runs a
     2-replication serial ``simulate``, so modules imported by other tests do

@@ -11,21 +11,21 @@ import pytest
 from hypothesis import given, settings
 
 from sheltersim.experiment import (
+    FLOW_LABELS,
     MAX_CAPACITY_UNITS,
     MAX_EXPECTED_ARRIVALS,
     MAX_GRID_PAIRS,
     ConfigError,
     ScenarioConfig,
-    _mean,
     _total,
     apply_parameter,
     build_streams,
+    estimate,
     replication_population,
     run_replication,
     run_scenario,
     summarize,
     sweep,
-    t_halfwidth,
     t_quantile,
     worker_count,
 )
@@ -117,13 +117,21 @@ def test_summary_means_lie_within_replication_extremes():
             assert min(values) <= res.avg_wait <= max(values)
 
 
-def test_t_halfwidth_known_value():
+def test_estimate_known_value():
     # Hand-computed: mean 2.5, s = sqrt(5/3), t(0.975, 3) = 3.182446,
     # so the half-width is 3.182446 * 1.290994 / 2 = 2.054257.
-    assert t_halfwidth([1.0, 2.0, 3.0, 4.0]) == pytest.approx(2.054257, abs=1e-5)
-    assert t_halfwidth([5.0]) is None
-    assert t_halfwidth([]) is None
-    assert t_halfwidth([2.0, 2.0, 2.0]) == 0.0
+    mean, half_width = estimate([1.0, 2.0, 3.0, 4.0])
+    assert mean == 2.5
+    assert half_width == pytest.approx(2.054257, abs=1e-5)
+    assert estimate([5.0]) == (5.0, None)
+    assert estimate([]) == (None, None)
+    assert estimate([2.0, 2.0, 2.0]) == (2.0, 0.0)
+
+
+def test_estimate_drops_undefined_values():
+    assert estimate([None, 1.0, None, 2.0, 3.0, 4.0]) == estimate([1.0, 2.0, 3.0, 4.0])
+    assert estimate([None, 5.0]) == (5.0, None)
+    assert estimate([None, None]) == (None, None)
 
 
 def test_statistics_total_left_to_right():
@@ -132,7 +140,7 @@ def test_statistics_total_left_to_right():
     # and 3.11, so statistics are the same bits on every version.
     values = [1.0, 1e100, 1.0, -1e100]
     assert _total(values) == 0.0
-    assert _mean(values) == 0.0
+    assert estimate(values)[0] == 0.0
 
 
 def test_t_quantile_matches_scipy_fixture():
@@ -291,6 +299,7 @@ def test_worker_count_is_bounded_by_tasks_and_cpus():
 def test_summarize_empty_reps_is_safe():
     summary = summarize([])
     assert summary.resources == {}
+    assert summary.flows == {name: (None, None) for name in FLOW_LABELS}
 
 
 # -- config handling ------------------------------------------------------------

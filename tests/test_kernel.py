@@ -2,6 +2,8 @@
 execution, multi-unit seize with strict FIFO, deadline reneging, and the
 busy-time integral."""
 
+import re
+
 import pytest
 
 from sheltersim.kernel import Resource, Simulator
@@ -311,6 +313,30 @@ def test_request_conservation_identity():
     assert s.request_count == 3
     assert s.renege_count == 1  # "b" at t=3
     assert len(s.served_waits) == 2  # "a" immediately, "c" at t=50
+
+
+@pytest.mark.parametrize("patience", [float("nan"), -1.0, float("-inf")])
+def test_bad_patience_is_rejected_before_it_is_counted(patience):
+    # "x" would be granted at once on the empty pool and "b" would queue
+    # behind "a": neither may count, hold, queue or schedule anything.
+    sim = Simulator()
+    res = Resource(sim, "pool", 1)
+    rec = Recorder()
+    s = res.stats
+    message = re.escape(f"pool: patience must be >= 0, got {patience}")
+
+    def reject(label):
+        with pytest.raises(ValueError, match=message):
+            res.request(label, 1, patience, rec.on_grant(label), rec.on_renege(label))
+        assert s.request_count == len(s.served_waits) + s.renege_count + res.still_queued_counted()
+
+    reject("x")
+    res.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
+    reject("b")
+    assert s.request_count == 1
+    assert rec.grants == [("a", 0.0)] and rec.reneges == []
+    assert res.held_by("x") == res.held_by("b") == 0
+    assert not res.queue and not sim._heap
 
 
 # -- shared renege entries ----------------------------------------------------
