@@ -457,12 +457,16 @@ def run_replication(config: ScenarioConfig, replication: int,
     model.reset_statistics()
     sim.run_until(config.warmup_days + config.stats_window_days)
     stats = _collect(replication, model)
-    # Pending entries hold the model's methods and queued requests hold their
-    # timers: emptying both lets reference counting free the run at once.
+    # Pending entries and the arrival feed hold the model's methods, queued
+    # requests hold their timers, and each pool's ledger holds the youths
+    # that hold the pool: emptying them lets reference counting free the
+    # run at once.
     for entry in sim._heap:
         entry.cancel()
+    sim.feed((), None)
     for pool in model.pools:
         pool.queue.clear()
+        pool._held.clear()
     return stats
 
 

@@ -34,9 +34,10 @@ class EventHandle(list):
 class Simulator:
     """Event calendar plus clock.
 
-    Events fire in (time, insertion order) order, so two events scheduled for
-    the same instant fire in the order they were scheduled. That total order
-    is what makes whole runs reproducible.
+    Events fire in (time, seq) order. ``seq`` is drawn from one counter by
+    every ``schedule`` call and by every fed arrival (see ``feed``), so two
+    events at the same instant fire in the order they were scheduled. That
+    total order is what makes whole runs reproducible.
     """
 
     def __init__(self):
@@ -46,6 +47,11 @@ class Simulator:
         # The latest renege entry of any pool while it is pending; queued
         # requests may join it (see ``Resource.request``).
         self._renege_entry: EventHandle | None = None
+        # The arrival feed: its times, its handler, and the next arrival as
+        # ``[time, seq, index]``, or None when the feed has run out.
+        self._feed_times = ()
+        self._feed_fn: Callable[[int], None] | None = None
+        self._next_arrival: list | None = None
 
     def schedule(self, time: float, fn: Callable, *args) -> EventHandle:
         """Schedule ``fn(*args)`` at ``time``. Scheduling in the past is a bug."""
@@ -58,12 +64,53 @@ class Simulator:
         heapq.heappush(self._heap, entry)
         return entry
 
+    def feed(self, times, fn: Callable[[int], None] | None) -> None:
+        """Call ``fn(i)`` at ``times[i]`` for every ``i`` in turn, without a
+        calendar entry per call. This replaces any earlier feed; call it
+        outside ``run_until``.
+
+        Each call fires where a chain of ``schedule`` calls would have put
+        it: the first takes its ``seq`` now, and each later one when the call
+        before it returns. ``times`` must not descend below the clock.
+        """
+        self._feed_times = times
+        self._feed_fn = fn
+        self._next_arrival = None
+        if len(times):
+            self._next_arrival = [self._fed_time(times[0]), self._seq, 0]
+            self._seq += 1
+
+    def _fed_time(self, time: float) -> float:
+        if not time >= self.now:  # also rejects NaN
+            raise ValueError(f"cannot feed t={time} before current clock t={self.now}")
+        return time
+
     def run_until(self, t_end: float) -> float:
         """Process every event with time <= t_end; leave the clock at t_end."""
         if not t_end >= self.now:  # also rejects NaN
             raise ValueError(f"t_end={t_end} is before current clock t={self.now}")
         heap = self._heap
         pop = heapq.heappop
+        arrival = self._next_arrival
+        while arrival is not None and arrival[0] <= t_end:
+            # Every entry ahead of the arrival has a time <= t_end. Lists
+            # compare by (time, seq), which no two events share.
+            while heap and heap[0] < arrival:
+                time, _seq, fn, args = pop(heap)
+                if fn is None:
+                    continue
+                self.now = time
+                fn(*args)
+            self.now, _seq, i = arrival
+            self._feed_fn(i)
+            i += 1
+            times = self._feed_times
+            if i < len(times):
+                arrival = [self._fed_time(times[i]), self._seq, i]
+                self._seq += 1
+            else:
+                arrival = None
+            self._next_arrival = arrival
         while heap and heap[0][0] <= t_end:
             time, _seq, fn, args = pop(heap)
             if fn is None:
@@ -82,13 +129,13 @@ class PendingRequest:
     """
 
     __slots__ = (
-        "pool", "entity_id", "units", "enqueue_time", "on_grant", "on_renege",
+        "pool", "entity", "units", "enqueue_time", "on_grant", "on_renege",
         "timer", "counted",
     )
 
-    def __init__(self, pool, entity_id, units, enqueue_time, on_grant, on_renege):
+    def __init__(self, pool, entity, units, enqueue_time, on_grant, on_renege):
         self.pool = pool
-        self.entity_id = entity_id
+        self.entity = entity
         self.units = units
         self.enqueue_time = enqueue_time
         self.on_grant = on_grant
@@ -161,22 +208,26 @@ class Resource:
 
     # -- holdings ----------------------------------------------------------
 
-    def held_by(self, entity_id) -> int:
-        return self._held.get(entity_id, 0)
+    def held_by(self, entity) -> int:
+        return self._held.get(entity, 0)
 
     def still_queued_counted(self) -> int:
         return sum(1 for req in self.queue if req.counted)
 
     # -- request / release ---------------------------------------------------
 
-    def request(self, entity_id, units: int, patience: float,
-                on_grant: Callable[[float], None],
-                on_renege: Callable[[], None]) -> None:
-        """Ask for ``units`` units, abandoning after ``patience`` days.
+    def request(self, entity, units: int, patience: float,
+                on_grant: Callable[[object, Resource, float], None],
+                on_renege: Callable[[object, Resource], None]) -> None:
+        """Ask for ``units`` units for ``entity``, abandoning after
+        ``patience`` days.
 
         Immediate grant (wait 0) happens only when the queue is empty and the
         units fit; otherwise the request queues behind everyone else. Exactly
-        one of the callbacks fires, possibly synchronously. ``patience`` must
+        one of the callbacks fires, possibly synchronously, as
+        ``on_grant(entity, pool, wait)`` or ``on_renege(entity, pool)``, so
+        callers can pass the same two functions for every request. The ledger
+        is keyed by ``entity``, which must be hashable. ``patience`` must
         be >= 0 (infinite waits forever); a negative or NaN one raises
         ``ValueError`` before the request is counted or queued.
         """
@@ -199,11 +250,11 @@ class Resource:
                 self._last_ts = now
             self.busy = busy + units
             held = self._held
-            held[entity_id] = held.get(entity_id, 0) + units
+            held[entity] = held.get(entity, 0) + units
             stats.served_waits.append(0.0)
-            on_grant(0.0)
+            on_grant(entity, self, 0.0)
             return
-        req = PendingRequest(self, entity_id, units, now, on_grant, on_renege)
+        req = PendingRequest(self, entity, units, now, on_grant, on_renege)
         deadline = now + patience
         # A request due when the entry scheduled just before it fires, while
         # that entry is a pending renege entry, joins it: no entry can sort
@@ -219,29 +270,29 @@ class Resource:
         req.timer = entry
         self.queue.append(req)
 
-    def release(self, entity_id) -> None:
-        """Return every unit ``entity_id`` holds and re-examine the queue head."""
-        units = self._held.pop(entity_id, 0)
+    def release(self, entity) -> None:
+        """Return every unit ``entity`` holds and re-examine the queue head."""
+        units = self._held.pop(entity, 0)
         if not units:
-            raise ValueError(f"{self.name}: entity {entity_id} holds no units")
+            raise ValueError(f"{self.name}: entity {entity} holds no units")
         now = self.sim.now
         if now > self._last_ts:
             self.stats.busy_time_integral += self.busy * (now - self._last_ts)
             self._last_ts = now
-        self.busy -= units
-        if self.queue:
+        self.busy = busy = self.busy - units
+        queue = self.queue
+        if queue and busy + queue[0].units <= self.capacity:
             self._dispatch()
 
     def _dispatch(self) -> None:
-        # Grant from the head while it fits; never look past a blocked head.
-        queue = self.queue
-        if not queue or self.busy + queue[0].units > self.capacity:
-            return
-        # The clock stands still through the grants, so one advance of the
-        # integral covers them all. A grant callback may re-enter this pool
-        # (request, release, reset), so busy and stats are read afresh.
+        # Called when the queue head fits: grant from the head while it fits;
+        # never look past a blocked head. The clock stands still through the
+        # grants, so one advance of the integral covers them all. A grant
+        # callback may re-enter this pool (request, release, reset), so busy
+        # and stats are read afresh.
         self._advance_integral()
         now = self.sim.now
+        queue = self.queue
         held = self._held
         while queue and self.busy + queue[0].units <= self.capacity:
             req = queue.popleft()
@@ -253,11 +304,12 @@ class Resource:
                 if self.sim._renege_entry is entry:
                     self.sim._renege_entry = None
             self.busy += req.units
-            held[req.entity_id] = held.get(req.entity_id, 0) + req.units
+            entity = req.entity
+            held[entity] = held.get(entity, 0) + req.units
             wait = now - req.enqueue_time
             if req.counted:
                 self.stats.served_waits.append(wait)
-            req.on_grant(wait)
+            req.on_grant(entity, self, wait)
 
     def _renege_due(self, due: list[PendingRequest]) -> None:
         # A renege entry fires: renege its still-queued requests, of any
@@ -277,6 +329,8 @@ class Resource:
         self.queue.remove(req)
         if req.counted:
             self.stats.renege_count += 1
-        req.on_renege()
+        req.on_renege(req.entity, self)
         # Removing a blocked head can unblock smaller requests behind it.
-        self._dispatch()
+        queue = self.queue
+        if queue and self.busy + queue[0].units <= self.capacity:
+            self._dispatch()

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
@@ -115,7 +114,8 @@ class Youth:
     ``needs`` holds the monthly appointment count of every service in the
     model's service order, 0 for a service the youth does not use.
     ``held`` lists the pools the youth holds units of, in grant order; the
-    unit counts are the pools' own ledger (``Resource.held_by``).
+    unit counts are the pools' own ledger (``Resource.held_by``), keyed by
+    the youth itself.
     """
 
     __slots__ = (
@@ -140,6 +140,9 @@ class Youth:
         self.counted = False
         self.held: list[Resource] = []
         self.pending_services = 0
+
+    def __repr__(self) -> str:
+        return f"Youth(id={self.id})"
 
 
 def _flow(label: str):
@@ -374,7 +377,6 @@ class ShelterModel:
         self.trace = trace
         self.counters = FlowCounters()
         self._stats_on = False
-        self._next_id = 0
 
     # -- statistics window ---------------------------------------------------
 
@@ -389,17 +391,13 @@ class ShelterModel:
     # -- arrivals --------------------------------------------------------------
 
     def start(self) -> None:
-        """Schedule the population's first arrival; each arrival schedules the
-        next one after admitting its youth."""
-        if self.population:
-            self.sim.schedule(self.population.times[0], self._arrive)
+        """Feed the population's arrival times to the calendar, which admits
+        youth ``i`` at ``times[i]``."""
+        if self.population is not None:
+            self.sim.feed(self.population.times, self._arrive)
 
-    def _arrive(self) -> None:
-        i = self._next_id
-        self._next_id = i + 1
+    def _arrive(self, i: int) -> None:
         self.admit(self.population.youth(i))
-        if self._next_id < len(self.population):
-            self.sim.schedule(self.population.times[self._next_id], self._arrive)
 
     # -- youth process -----------------------------------------------------------
 
@@ -425,21 +423,18 @@ class ShelterModel:
         if youth.kind == "bed_seeking":
             if self.trace is not None:
                 self.trace.append(("bed_request", now, youth.id))
-            self.beds.request(
-                youth.id, 1, youth.bed_patience,
-                partial(self._on_bed_grant, youth),
-                partial(self._on_bed_renege, youth),
-            )
+            self.beds.request(youth, 1, youth.bed_patience,
+                              self._on_bed_grant, self._on_bed_renege)
         else:
             self._start_services(youth)
 
-    def _on_bed_grant(self, youth: Youth, wait: float) -> None:
-        youth.held.append(self.beds)
+    def _on_bed_grant(self, youth: Youth, beds: Resource, wait: float) -> None:
+        youth.held.append(beds)
         if self.trace is not None:
             self.trace.append(("bed_grant", self.sim.now, youth.id, wait))
         self._start_services(youth)
 
-    def _on_bed_renege(self, youth: Youth) -> None:
+    def _on_bed_renege(self, youth: Youth, beds: Resource) -> None:
         exits = youth.exits_on_bed_renege
         if self.trace is not None:
             self.trace.append(("bed_renege", self.sim.now, youth.id,
@@ -469,15 +464,12 @@ class ShelterModel:
         if not pending:
             self._batch_resolved(youth)
             return
+        on_grant, on_renege = self._on_service_grant, self._on_service_renege
         for pool, units in zip(self.service_pools, needs):
             if units:
                 if trace is not None:
                     trace.append(("service_request", now, youth.id, pool.name, units))
-                pool.request(
-                    youth.id, units, youth.service_patience,
-                    partial(self._on_service_grant, youth, pool),
-                    partial(self._on_service_renege, youth, pool),
-                )
+                pool.request(youth, units, youth.service_patience, on_grant, on_renege)
 
     def _on_service_grant(self, youth: Youth, pool: Resource, wait: float) -> None:
         youth.held.append(pool)
@@ -514,5 +506,5 @@ class ShelterModel:
         if self.trace is not None:
             self.trace.append(("depart", self.sim.now, youth.id, outcome))
         for pool in youth.held:
-            pool.release(youth.id)
+            pool.release(youth)
         youth.held.clear()

@@ -167,8 +167,8 @@ def _run_case(capacity: int, requests) -> list[tuple]:
         log.append(("request", sim.now, entity, units, patience))
         resource.request(
             entity, units, patience,
-            lambda wait: granted(entity, units, hold, wait),
-            lambda: log.append(("renege", sim.now, entity)),
+            lambda entity, pool, wait: granted(entity, units, hold, wait),
+            lambda entity, pool: log.append(("renege", sim.now, entity)),
         )
 
     def granted(entity, units, hold, wait):

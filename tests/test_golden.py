@@ -1,6 +1,6 @@
 """Golden digests: pin the bytes of a small fixed-seed simulate CSV and sweep
-CSV, the drawn populations of two replications, and the first draws of every
-named stream.
+CSV, the statistics and event traces of full-size replications, the drawn
+populations of two replications, and the first draws of every named stream.
 
 These back the claim that identical config and seed give identical results on
 any platform. numpy does not promise that ``Generator`` streams stay the same
@@ -10,11 +10,21 @@ streams moved, not necessarily that sheltersim did.
 
 import hashlib
 import io
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from sheltersim.cli import write_scenario_csv, write_sweep_csv
-from sheltersim.experiment import STREAM_NAMES, build_streams, run_scenario, sweep
+from sheltersim.experiment import (
+    STREAM_NAMES,
+    ScenarioConfig,
+    build_streams,
+    run_replication,
+    run_scenario,
+    sweep,
+)
 from sheltersim.model import draw_population
 from sheltersim.streams import RngStream
 from support import mini_config
@@ -23,6 +33,12 @@ DIGESTS_NUMPY = "2.4.6"
 
 SIMULATE_SHA256 = "9246b0ac11d13d4ac7efc58e753784f2c308825a07bfcd58cd9f5721878241b1"
 SWEEP_SHA256 = "4dd7ed31db20d8481a09d150bd090744675eae924de3012651ce16c57845a554"
+
+# ``repr((stats, trace))`` of replications 0-3 of configs/baseline.json at
+# each bed capacity, with the stay redraw off and on, fed to one hash in
+# that nesting order. The traces pin every event's time, order and content.
+REPLICATIONS_SHA256 = "f2a604f3419240b6413f6fb05ddb5da4a60fe986b5e690e270349be55b1dd40c"
+REPLICATIONS_BEDS = (56, 66, 86)
 
 # Every column of the populations of replications 0 and 1.
 POPULATION_SHA256 = "8ccd92162804b8b6c31adceb4d669b0106e6c6be4ea7fd652025eb34123c878f"
@@ -63,6 +79,21 @@ def test_sweep_csv_digest():
     results = sweep(mini_config(replications=3), "bed_capacity", [6, 10])
     write_sweep_csv(buf, "bed_capacity", results)
     assert _sha256(buf.getvalue()) == SWEEP_SHA256, _provenance("sweep CSV")
+
+
+def test_replication_stats_and_traces_digest():
+    path = Path(__file__).resolve().parents[1] / "configs" / "baseline.json"
+    config = ScenarioConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    digest = hashlib.sha256()
+    for beds in REPLICATIONS_BEDS:
+        for redraw in (False, True):
+            for replication in range(4):
+                trace = []
+                stats = run_replication(
+                    replace(config, bed_capacity=beds, redraw_los_on_bed_renege=redraw),
+                    replication, trace=trace)
+                digest.update(repr((stats, trace)).encode("utf-8"))
+    assert digest.hexdigest() == REPLICATIONS_SHA256, _provenance("replication traces")
 
 
 def test_population_digest():

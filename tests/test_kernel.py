@@ -3,6 +3,7 @@ execution, multi-unit seize with strict FIFO, deadline reneging, and the
 busy-time integral."""
 
 import re
+from array import array
 
 import pytest
 
@@ -93,6 +94,103 @@ def test_run_until_backwards_is_an_error():
         sim.run_until(4.0)
 
 
+# -- fed arrivals -----------------------------------------------------------
+
+
+def test_fed_arrival_ties_break_as_if_each_arrival_scheduled_the_next():
+    # The first arrival takes its seq when fed; each later one when the
+    # handler before it returns. So at t=1 arrival 0 fires after "before"
+    # and before "fed"; at t=5 arrival 1 fires after "during", scheduled
+    # while arrival 0 ran, and before "after", scheduled after it returned.
+    sim = Simulator()
+    fired = []
+
+    def arrive(i):
+        fired.append(("arrival", i))
+        if i == 0:
+            sim.schedule(5.0, fired.append, "during")
+
+    sim.schedule(1.0, fired.append, "before")
+    sim.feed([1.0, 5.0], arrive)
+    sim.schedule(1.0, fired.append, "fed")
+    sim.schedule(2.0, lambda: sim.schedule(5.0, fired.append, "after"))
+    sim.run_until(10.0)
+    assert fired == ["before", ("arrival", 0), "fed", "during", ("arrival", 1), "after"]
+
+
+def test_fed_arrival_keeps_a_renege_entry_from_being_joined():
+    # Arrival 0 queues x, due at 5; arrival 1, also at 5, takes the next
+    # seq. y, queued at t=2 and due at 5 too, must not join x's entry: it
+    # would renege before arrival 1 fires instead of after it.
+    sim = Simulator()
+    pool = Resource(sim, "pool", 1)
+    rec = Recorder()
+    log = []
+    pool.request("holder", 1, 1.0, rec.on_grant("holder"), rec.on_renege("holder"))
+
+    def arrive(i):
+        if i == 0:
+            pool.request("x", 1, 5.0, rec.on_grant("x"), _log_renege(log, sim, "x"))
+        else:
+            log.append(("arrival", [req.entity for req in pool.queue]))
+
+    sim.feed([0.0, 5.0], arrive)
+    sim.schedule(2.0, pool.request, "y", 1, 3.0, rec.on_grant("y"), _log_renege(log, sim, "y"))
+    sim.run_until(10.0)
+    assert log == [("x", 5.0), ("arrival", ["y"]), ("y", 5.0)]
+
+
+def test_feeding_carries_on_across_run_until_calls():
+    # An arrival at exactly t_end fires in that call, as a scheduled event
+    # would: an arrival at the end of the warm-up belongs to the warm-up.
+    sim = Simulator()
+    fired = []
+    sim.feed([1.0, 3.0, 5.0], lambda i: fired.append((i, sim.now)))
+    sim.run_until(3.0)
+    assert fired == [(0, 1.0), (1, 3.0)]
+    sim.run_until(4.0)
+    assert fired == [(0, 1.0), (1, 3.0)]
+    sim.run_until(10.0)
+    assert fired == [(0, 1.0), (1, 3.0), (2, 5.0)]
+    assert sim.now == 10.0
+
+
+def test_calendar_drains_after_the_feed_runs_out():
+    sim = Simulator()
+    fired = []
+
+    def arrive(i):
+        fired.append(("arrival", i))
+        sim.schedule(4.0, fired.append, "a")
+        sim.schedule(8.0, fired.append, "b")
+
+    sim.feed([1.0], arrive)
+    sim.run_until(10.0)
+    assert fired == [("arrival", 0), "a", "b"]
+    assert not sim._heap
+
+
+def test_an_empty_feed_feeds_nothing():
+    sim = Simulator()
+    fired = []
+    sim.feed(array("d"), fired.append)
+    sim.schedule(1.0, fired.append, "a")
+    sim.run_until(10.0)
+    assert fired == ["a"]
+    # It took no seq: the entry above got the first.
+    assert sim._seq == 1
+
+
+def test_a_fed_time_before_the_clock_is_an_error():
+    sim = Simulator()
+    sim.run_until(2.0)
+    with pytest.raises(ValueError, match="cannot feed t=1.0 before current clock t=2.0"):
+        sim.feed([1.0], lambda i: None)
+    sim.feed([3.0, 2.5], lambda i: None)
+    with pytest.raises(ValueError, match="cannot feed t=2.5 before current clock t=3.0"):
+        sim.run_until(10.0)
+
+
 # -- resources ---------------------------------------------------------------
 
 
@@ -104,12 +202,12 @@ class Recorder:
         self.reneges = []
 
     def on_grant(self, label):
-        def callback(wait):
+        def callback(entity, pool, wait):
             self.grants.append((label, wait))
         return callback
 
     def on_renege(self, label):
-        def callback():
+        def callback(entity, pool):
             self.reneges.append(label)
         return callback
 
@@ -147,7 +245,7 @@ def test_renege_at_exact_deadline():
     sim.schedule(10.0, res.release, "holder")
     sim.schedule(0.0, res.request, "waiter", 1, 7.0,
                  rec.on_grant("waiter"),
-                 lambda: events.append(("reneged", sim.now)))
+                 lambda entity, pool: events.append(("reneged", sim.now)))
     sim.run_until(20.0)
     assert events == [("reneged", 7.0)]
     assert [label for label, _ in rec.grants] == ["holder"]
@@ -285,7 +383,7 @@ def test_statistics_reset_discards_warmup_counts():
     res.request("w", 1, 5.0, rec.on_grant("w"), rec.on_renege("w"))
     # Queued during warm-up, granted inside the window: must not be counted.
     res.request("q", 1, 100.0,
-                lambda wait: sim.schedule(sim.now + 2.0, res.release, "q"),
+                lambda entity, pool, wait: sim.schedule(sim.now + 2.0, res.release, "q"),
                 rec.on_renege("q"))
     sim.run_until(10.0)
     res.reset_statistics()
@@ -343,7 +441,7 @@ def test_bad_patience_is_rejected_before_it_is_counted(patience):
 
 
 def _log_renege(log, sim, label):
-    return lambda: log.append((label, sim.now))
+    return lambda entity, pool: log.append((label, sim.now))
 
 
 def test_one_entity_shares_a_renege_entry_across_pools():
@@ -415,7 +513,7 @@ def test_request_from_a_firing_entry_gets_its_own():
     rec = Recorder()
     log = []
 
-    def x_reneged():
+    def x_reneged(entity, pool):
         log.append(("x", sim.now))
         pool.request("z", 1, 0.0, rec.on_grant("z"), _log_renege(log, sim, "z"))
 

@@ -2,6 +2,9 @@
 state machine on scripted entities, and arrival generation."""
 
 import math
+import re
+
+import pytest
 
 from sheltersim.distributions import sample_triangular
 from sheltersim.experiment import build_streams, run_replication
@@ -131,7 +134,22 @@ def test_all_reneged_service_only_youth_leaves_unserved():
     assert ("service_renege", 4.0, 2, "psychiatric") in trace
     # Leaves at the renege instant, holding nothing.
     assert ("depart", 4.0, 2, "left_unserved") in trace
-    assert model.service_pools[0].held_by(2) == 0
+    assert model.service_pools[0].held_by(victim) == 0
+
+
+def test_pool_ledger_is_keyed_by_the_youth_and_names_it_by_id():
+    youth = scripted_youth(3, "service_only", los=20.0, service_patience=3.0,
+                           needs={"psychiatric": 2})
+    sim, model, trace = scripted_model(0, [("psychiatric", 2)], [(0.0, youth)])
+    sim.run_until(1.0)
+    pool = model.service_pools[0]
+    assert repr(youth) == "Youth(id=3)"
+    assert pool.held_by(youth) == 2
+    assert pool.held_by(3) == 0
+    sim.run_until(30.0)
+    assert pool.held_by(youth) == 0
+    with pytest.raises(ValueError, match=re.escape("psychiatric: entity Youth(id=3) holds no units")):
+        pool.release(youth)
 
 
 def test_bed_granted_all_bypassed_stays_full_los():
@@ -341,4 +359,4 @@ def test_randomized_scripted_scenarios_keep_invariants():
             assert not pool.queue, pool.name
         for _t, youth in admissions:
             assert youth.held == [], youth.id
-            assert all(pool.held_by(youth.id) == 0 for pool in model.pools), youth.id
+            assert all(pool.held_by(youth) == 0 for pool in model.pools), youth.id

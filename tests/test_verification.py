@@ -1,10 +1,18 @@
-"""Verification against the trace: statistics the kernel accumulates inline,
-recomputed from nothing but the events a replication records."""
+"""Verification: statistics the kernel accumulates inline, recomputed from
+nothing but the events a replication records, and occupancy checked against
+the queueing law the bed pool must obey."""
+
+from dataclasses import replace
 
 import pytest
 
-from sheltersim.experiment import ScenarioConfig, run_replication
-from sheltersim.model import BED_RESOURCE
+from sheltersim.experiment import ScenarioConfig, run_replication, run_scenario
+from sheltersim.model import (
+    BED_RESOURCE,
+    DAYS_PER_YEAR,
+    LOS_BED_SEEKING_16_20,
+    LOS_BED_SEEKING_21_24,
+)
 from support import mini_config
 
 
@@ -52,3 +60,27 @@ def test_utilization_equals_busy_time_recomputed_from_the_trace(make_config, rep
     for name, res in stats.resources.items():
         expected = busy.get(name, 0.0) / (capacities[name] * config.stats_window_days)
         assert res.utilization == pytest.approx(expected, rel=1e-9, abs=0.0), name
+
+
+def triangular_mean(params) -> float:
+    return (params.low + params.mode + params.high) / 3.0
+
+
+def test_busy_beds_without_contention_match_the_infinite_server_mean():
+    # With far more beds than seekers, no bed seeker waits and each holds
+    # its bed for its whole stay: the bed pool is an M/G/inf queue, whose
+    # mean busy servers in steady state are lambda_b E[LOS] (1.2768/d x
+    # 69.40 d = 88.61 at the defaults). A stay is at most 180 days, so the
+    # 365.25-day warm-up starts the window in steady state.
+    beds = 1000
+    config = replace(ScenarioConfig(), bed_capacity=beds, replications=20)
+    bed_rate = config.annual_arrivals * config.bsy_fraction / DAYS_PER_YEAR
+    young = config.age_16_20_fraction
+    mean_stay = (young * triangular_mean(LOS_BED_SEEKING_16_20)
+                 + (1.0 - young) * triangular_mean(LOS_BED_SEEKING_21_24))
+    expected = bed_rate * mean_stay
+    assert expected == pytest.approx(88.61, abs=0.01)
+    summary = run_scenario(config).resources[BED_RESOURCE]
+    assert summary.avg_wait == 0.0
+    busy, half_width = beds * summary.utilization, beds * summary.utilization_ci
+    assert abs(busy - expected) <= 3 * half_width, (busy, half_width, expected)
