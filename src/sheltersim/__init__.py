@@ -2,14 +2,7 @@
 bed pool plus five appointment-pool services, impatient queues, replicated
 scenario runs, and capacity-expansion sweeps."""
 
-from .distributions import (
-    ExponentialParams,
-    TriangularParams,
-    sample_bernoulli,
-    sample_exponential,
-    sample_triangular,
-    sample_uniform_int,
-)
+from .distributions import TriangularParams, sample_triangular
 from .experiment import (
     ConfigError,
     ReplicationStats,

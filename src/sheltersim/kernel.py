@@ -34,10 +34,11 @@ class EventHandle(list):
 class Simulator:
     """Event calendar plus clock.
 
-    Events fire in (time, seq) order. ``seq`` is drawn from one counter by
-    every ``schedule`` call and by every fed arrival (see ``feed``), so two
-    events at the same instant fire in the order they were scheduled. That
-    total order is what makes whole runs reproducible.
+    Events fire in (time, seq) order, ``seq`` counting the ``schedule``
+    calls, so two events at the same instant fire in the order they were
+    scheduled. A fed arrival (see ``feed``) takes no ``seq``: it fires
+    before every calendar entry due at its instant. That total order is what
+    makes whole runs reproducible.
     """
 
     def __init__(self):
@@ -47,11 +48,11 @@ class Simulator:
         # The latest renege entry of any pool while it is pending; queued
         # requests may join it (see ``Resource.request``).
         self._renege_entry: EventHandle | None = None
-        # The arrival feed: its times, its handler, and the next arrival as
-        # ``[time, seq, index]``, or None when the feed has run out.
+        # The arrival feed: its times, its handler, and the index of the
+        # next arrival to fire.
         self._feed_times = ()
         self._feed_fn: Callable[[int], None] | None = None
-        self._next_arrival: list | None = None
+        self._feed_next = 0
 
     def schedule(self, time: float, fn: Callable, *args) -> EventHandle:
         """Schedule ``fn(*args)`` at ``time``. Scheduling in the past is a bug."""
@@ -69,21 +70,19 @@ class Simulator:
         calendar entry per call. This replaces any earlier feed; call it
         outside ``run_until``.
 
-        Each call fires where a chain of ``schedule`` calls would have put
-        it: the first takes its ``seq`` now, and each later one when the call
-        before it returns. ``times`` must not descend below the clock.
+        An arrival fires before every calendar entry due at its instant and
+        takes no ``seq``. ``times`` must ascend from the clock, which is
+        checked here, once.
         """
+        last = self.now
+        for time in times:
+            if not time >= last:  # also rejects NaN
+                raise ValueError(f"feed times must ascend from the clock t={self.now}, "
+                                 f"got t={time} after t={last}")
+            last = time
         self._feed_times = times
         self._feed_fn = fn
-        self._next_arrival = None
-        if len(times):
-            self._next_arrival = [self._fed_time(times[0]), self._seq, 0]
-            self._seq += 1
-
-    def _fed_time(self, time: float) -> float:
-        if not time >= self.now:  # also rejects NaN
-            raise ValueError(f"cannot feed t={time} before current clock t={self.now}")
-        return time
+        self._feed_next = 0
 
     def run_until(self, t_end: float) -> float:
         """Process every event with time <= t_end; leave the clock at t_end."""
@@ -91,32 +90,29 @@ class Simulator:
             raise ValueError(f"t_end={t_end} is before current clock t={self.now}")
         heap = self._heap
         pop = heapq.heappop
-        arrival = self._next_arrival
-        while arrival is not None and arrival[0] <= t_end:
-            # Every entry ahead of the arrival has a time <= t_end. Lists
-            # compare by (time, seq), which no two events share.
-            while heap and heap[0] < arrival:
+        times = self._feed_times
+        arrive = self._feed_fn
+        i = self._feed_next
+        # The next arrival's time, or NaN once the feed has run out: no
+        # comparison with NaN holds, so then every entry goes first and no
+        # arrival fires.
+        arrival = times[i] if i < len(times) else math.nan
+        while True:
+            if heap and not heap[0][0] >= arrival:
+                if heap[0][0] > t_end:
+                    break
                 time, _seq, fn, args = pop(heap)
-                if fn is None:
-                    continue
-                self.now = time
-                fn(*args)
-            self.now, _seq, i = arrival
-            self._feed_fn(i)
-            i += 1
-            times = self._feed_times
-            if i < len(times):
-                arrival = [self._fed_time(times[i]), self._seq, i]
-                self._seq += 1
+                if fn is not None:
+                    self.now = time
+                    fn(*args)
+            elif arrival <= t_end:
+                self.now = arrival
+                arrive(i)
+                i += 1
+                arrival = times[i] if i < len(times) else math.nan
             else:
-                arrival = None
-            self._next_arrival = arrival
-        while heap and heap[0][0] <= t_end:
-            time, _seq, fn, args = pop(heap)
-            if fn is None:
-                continue
-            self.now = time
-            fn(*args)
+                break
+        self._feed_next = i
         self.now = t_end
         return self.now
 
@@ -228,13 +224,15 @@ class Resource:
         ``on_grant(entity, pool, wait)`` or ``on_renege(entity, pool)``, so
         callers can pass the same two functions for every request. The ledger
         is keyed by ``entity``, which must be hashable. ``patience`` must
-        be >= 0 (infinite waits forever); a negative or NaN one raises
-        ``ValueError`` before the request is counted or queued.
+        be >= 0 (infinite waits forever) and ``units`` a whole number >= 1;
+        any other value raises ``ValueError`` before the request is counted
+        or queued.
         """
         if not patience >= 0:  # also rejects NaN
             raise ValueError(f"{self.name}: patience must be >= 0, got {patience}")
-        if units < 1:
-            raise ValueError(f"{self.name}: requested units must be >= 1, got {units}")
+        if not (units >= 1 and units // 1 == units):  # NaN and inf floor to NaN
+            raise ValueError(
+                f"{self.name}: requested units must be a whole number >= 1, got {units}")
         if units > self.capacity:
             raise ValueError(
                 f"{self.name}: request for {units} units can never be satisfied "
@@ -258,8 +256,9 @@ class Resource:
         deadline = now + patience
         # A request due when the entry scheduled just before it fires, while
         # that entry is a pending renege entry, joins it: no entry can sort
-        # between two consecutive seqs at one time, so the entry reneging its
-        # requests in join order is what one entry each would do. A youth's
+        # between two consecutive seqs at one time, and an arrival due then
+        # fires before both, so the entry reneging its requests in join
+        # order is what one entry each would do. A youth's
         # service requests, all due at ``now + service_patience``, share one.
         sim = self.sim
         entry = sim._renege_entry

@@ -6,6 +6,8 @@ import re
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheltersim.kernel import Resource, Simulator
 
@@ -97,11 +99,10 @@ def test_run_until_backwards_is_an_error():
 # -- fed arrivals -----------------------------------------------------------
 
 
-def test_fed_arrival_ties_break_as_if_each_arrival_scheduled_the_next():
-    # The first arrival takes its seq when fed; each later one when the
-    # handler before it returns. So at t=1 arrival 0 fires after "before"
-    # and before "fed"; at t=5 arrival 1 fires after "during", scheduled
-    # while arrival 0 ran, and before "after", scheduled after it returned.
+def test_a_fed_arrival_fires_before_every_entry_due_at_its_instant():
+    # Arrivals take no seq: at t=1 arrival 0 fires before "before" and
+    # "fed", scheduled before and after the feed; at t=5 arrival 1 fires
+    # before "during", scheduled while arrival 0 ran, and "after".
     sim = Simulator()
     fired = []
 
@@ -115,13 +116,12 @@ def test_fed_arrival_ties_break_as_if_each_arrival_scheduled_the_next():
     sim.schedule(1.0, fired.append, "fed")
     sim.schedule(2.0, lambda: sim.schedule(5.0, fired.append, "after"))
     sim.run_until(10.0)
-    assert fired == ["before", ("arrival", 0), "fed", "during", ("arrival", 1), "after"]
+    assert fired == [("arrival", 0), "before", "fed", ("arrival", 1), "during", "after"]
 
 
-def test_fed_arrival_keeps_a_renege_entry_from_being_joined():
-    # Arrival 0 queues x, due at 5; arrival 1, also at 5, takes the next
-    # seq. y, queued at t=2 and due at 5 too, must not join x's entry: it
-    # would renege before arrival 1 fires instead of after it.
+def test_a_renege_entry_is_joined_across_a_fed_arrival():
+    # Arrival 0 queues x, due at 5; y, queued at t=2 and due at 5 too, joins
+    # x's entry, since arrival 1, also at 5, fires before both either way.
     sim = Simulator()
     pool = Resource(sim, "pool", 1)
     rec = Recorder()
@@ -137,7 +137,8 @@ def test_fed_arrival_keeps_a_renege_entry_from_being_joined():
     sim.feed([0.0, 5.0], arrive)
     sim.schedule(2.0, pool.request, "y", 1, 3.0, rec.on_grant("y"), _log_renege(log, sim, "y"))
     sim.run_until(10.0)
-    assert log == [("x", 5.0), ("arrival", ["y"]), ("y", 5.0)]
+    assert log == [("arrival", ["x", "y"]), ("x", 5.0), ("y", 5.0)]
+    assert sim._seq == 2  # the t=2 event and the one shared renege entry
 
 
 def test_feeding_carries_on_across_run_until_calls():
@@ -182,13 +183,57 @@ def test_an_empty_feed_feeds_nothing():
 
 
 def test_a_fed_time_before_the_clock_is_an_error():
+    # feed() checks every time at once and installs no feed it rejects.
     sim = Simulator()
     sim.run_until(2.0)
-    with pytest.raises(ValueError, match="cannot feed t=1.0 before current clock t=2.0"):
-        sim.feed([1.0], lambda i: None)
-    sim.feed([3.0, 2.5], lambda i: None)
-    with pytest.raises(ValueError, match="cannot feed t=2.5 before current clock t=3.0"):
-        sim.run_until(10.0)
+    fired = []
+    message = "feed times must ascend from the clock t=2.0, got t={} after t={}"
+    with pytest.raises(ValueError, match=message.format(1.0, 2.0)):
+        sim.feed([1.0], fired.append)
+    with pytest.raises(ValueError, match=message.format(2.5, 3.0)):
+        sim.feed([3.0, 2.5], fired.append)
+    with pytest.raises(ValueError, match=message.format("nan", 3.0)):
+        sim.feed([3.0, float("nan")], fired.append)
+    sim.run_until(10.0)
+    assert fired == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(feed=st.lists(st.integers(0, 8), max_size=8).map(sorted),
+       before=st.lists(st.integers(0, 8), max_size=8),
+       offsets=st.lists(st.lists(st.integers(0, 3), max_size=2), max_size=16),
+       t_mid=st.integers(0, 10))
+def test_events_fire_by_time_then_arrivals_first_then_seq(feed, before, offsets, t_mid):
+    # Integer times make ties common between the three sources: the feed,
+    # entries scheduled before the run, and the entries the k-th event to
+    # fire schedules at offsets[k] from its time. Keys are (time, 0, index)
+    # for an arrival and (time, 1, seq) for an entry, seq counting the
+    # schedule calls alone.
+    sim = Simulator()
+    arrivals = [(float(t), 0, i) for i, t in enumerate(feed)]
+    scheduled = []
+    fired = []
+
+    def schedule(time):
+        key = (float(time), 1, len(scheduled))
+        scheduled.append(key)
+        assert sim.schedule(time, fire, key)[1] == key[2]
+
+    def fire(key):
+        assert sim.now == key[0]
+        k = len(fired)
+        fired.append(key)
+        for offset in offsets[k] if k < len(offsets) else ():
+            schedule(sim.now + offset)
+
+    for time in before:
+        schedule(time)
+    sim.feed([key[0] for key in arrivals], lambda i: fire(arrivals[i]))
+    sim.run_until(t_mid)
+    assert fired == sorted(key for key in arrivals + scheduled if key[0] <= t_mid)
+    sim.run_until(100.0)
+    assert fired == sorted(arrivals + scheduled)
+    assert sim._seq == len(scheduled)
 
 
 # -- resources ---------------------------------------------------------------
@@ -435,6 +480,32 @@ def test_bad_patience_is_rejected_before_it_is_counted(patience):
     assert rec.grants == [("a", 0.0)] and rec.reneges == []
     assert res.held_by("x") == res.held_by("b") == 0
     assert not res.queue and not sim._heap
+
+
+@pytest.mark.parametrize("units", [float("nan"), 1.5, 0, -1, float("inf")])
+def test_bad_units_are_rejected_before_they_are_counted(units):
+    # On the empty pool "x" would be granted or queued; queued behind "a" so
+    # would "b". Neither may count, hold, queue, schedule or block "c".
+    sim = Simulator()
+    res = Resource(sim, "pool", 2)
+    rec = Recorder()
+    s = res.stats
+    message = re.escape(f"pool: requested units must be a whole number >= 1, got {units}")
+
+    def reject(label):
+        with pytest.raises(ValueError, match=message):
+            res.request(label, units, 5.0, rec.on_grant(label), rec.on_renege(label))
+        assert s.request_count == len(s.served_waits) + s.renege_count + res.still_queued_counted()
+
+    reject("x")
+    res.request("a", 2, 5.0, rec.on_grant("a"), rec.on_renege("a"))
+    reject("b")
+    assert s.request_count == 1 and res.busy == 2
+    assert res.held_by("x") == res.held_by("b") == 0
+    assert not res.queue and not sim._heap
+    res.release("a")
+    res.request("c", 1, 5.0, rec.on_grant("c"), rec.on_renege("c"))
+    assert rec.grants == [("a", 0.0), ("c", 0.0)] and rec.reneges == []
 
 
 # -- shared renege entries ----------------------------------------------------

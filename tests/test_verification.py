@@ -1,17 +1,18 @@
 """Verification: statistics the kernel accumulates inline, recomputed from
 nothing but the events a replication records, and occupancy checked against
-the queueing law the bed pool must obey."""
+the queueing laws the pools must obey."""
 
 from dataclasses import replace
 
 import pytest
 
-from sheltersim.experiment import ScenarioConfig, run_replication, run_scenario
+from sheltersim.experiment import ScenarioConfig, estimate, run_replication, run_scenario
 from sheltersim.model import (
     BED_RESOURCE,
     DAYS_PER_YEAR,
     LOS_BED_SEEKING_16_20,
     LOS_BED_SEEKING_21_24,
+    LOS_SERVICE_ONLY,
 )
 from support import mini_config
 
@@ -62,8 +63,10 @@ def test_utilization_equals_busy_time_recomputed_from_the_trace(make_config, rep
         assert res.utilization == pytest.approx(expected, rel=1e-9, abs=0.0), name
 
 
-def triangular_mean(params) -> float:
-    return (params.low + params.mode + params.high) / 3.0
+def mean_bed_stay(config: ScenarioConfig) -> float:
+    """A bed seeker's mean stay, over both age bands (69.40 d by default)."""
+    young = config.age_16_20_fraction
+    return young * LOS_BED_SEEKING_16_20.mean + (1.0 - young) * LOS_BED_SEEKING_21_24.mean
 
 
 def test_busy_beds_without_contention_match_the_infinite_server_mean():
@@ -75,12 +78,60 @@ def test_busy_beds_without_contention_match_the_infinite_server_mean():
     beds = 1000
     config = replace(ScenarioConfig(), bed_capacity=beds, replications=20)
     bed_rate = config.annual_arrivals * config.bsy_fraction / DAYS_PER_YEAR
-    young = config.age_16_20_fraction
-    mean_stay = (young * triangular_mean(LOS_BED_SEEKING_16_20)
-                 + (1.0 - young) * triangular_mean(LOS_BED_SEEKING_21_24))
-    expected = bed_rate * mean_stay
+    expected = bed_rate * mean_bed_stay(config)
     assert expected == pytest.approx(88.61, abs=0.01)
     summary = run_scenario(config).resources[BED_RESOURCE]
     assert summary.avg_wait == 0.0
     busy, half_width = beds * summary.utilization, beds * summary.utilization_ci
     assert abs(busy - expected) <= 3 * half_width, (busy, half_width, expected)
+
+
+def test_busy_service_units_without_contention_match_the_infinite_server_mean():
+    # With no capacity binding, every youth is granted each service it asks
+    # for on arrival and holds it until it leaves at arrival + stay: each
+    # service pool is an M/G/inf queue whose mean busy units are
+    # lambda p E[count] E[LOS], lambda counting every arrival and E[LOS]
+    # averaged over bed seekers and service-only youth.
+    units = 10 ** 6
+    base = ScenarioConfig()
+    config = replace(base, bed_capacity=1000, replications=20,
+                     services=tuple(replace(s, capacity_units=units) for s in base.services))
+    rate = config.annual_arrivals / DAYS_PER_YEAR
+    mean_stay = (config.bsy_fraction * mean_bed_stay(config)
+                 + (1.0 - config.bsy_fraction) * LOS_SERVICE_ONLY.mean)
+    assert mean_stay == pytest.approx(34.467, abs=0.001)
+    summary = run_scenario(config)
+    for spec in config.services:
+        res = summary.resources[spec.name]
+        assert res.avg_wait == 0.0, spec.name
+        mean_count = (spec.appt_min + spec.appt_max) / 2.0
+        expected = rate * spec.request_prob * mean_count * mean_stay
+        busy, half_width = units * res.utilization, units * res.utilization_ci
+        assert abs(busy - expected) <= 3 * half_width, (spec.name, busy, half_width, expected)
+
+
+def test_littles_law_on_the_beds_holds_for_the_stay_less_the_wait():
+    # A bed holder leaves at arrival + stay, so it holds its bed for
+    # stay - wait, and Little's law reads busy beds = grant rate x
+    # E[stay - wait]. Per replication, the grants and their holding times
+    # come from the trace. With the stay alone as the holding time the law
+    # overstates the busy beds by the grant rate x E[wait].
+    config = ScenarioConfig()
+    start = config.warmup_days
+    end = start + config.stats_window_days
+    gaps = {"stay - wait": [], "stay": []}
+    for rep in range(20):
+        trace = []
+        stats = run_replication(config, rep, trace=trace)
+        stays = {entry[2]: entry[5] for entry in trace if entry[0] == "arrival"}
+        grants = [(stays[entry[2]], entry[3]) for entry in trace
+                  if entry[0] == "bed_grant" and start < entry[1] <= end]
+        busy = config.bed_capacity * stats.resources[BED_RESOURCE].utilization
+        rate = len(grants) / config.stats_window_days
+        gaps["stay - wait"].append(
+            busy - rate * sum(stay - wait for stay, wait in grants) / len(grants))
+        gaps["stay"].append(busy - rate * sum(stay for stay, _ in grants) / len(grants))
+    mean, half_width = estimate(gaps["stay - wait"])
+    assert abs(mean) <= 3 * half_width, (mean, half_width)
+    mean, half_width = estimate(gaps["stay"])
+    assert abs(mean) > 3 * half_width, (mean, half_width)
