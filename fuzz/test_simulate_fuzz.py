@@ -1,15 +1,17 @@
 """Run what the config fuzz accepts: every config drawn like those of
 ``test_from_dict_accepts_or_rejects_cleanly`` goes through ``simulate`` with
-one replication, and must either write a non-empty CSV (exit 0) or be
-rejected without one (exit 2), never raise.
+one replication, and must either write a non-empty CSV whose rows each have
+a name of their own (exit 0) or be rejected without one (exit 2), never
+raise.
 
-About seven drawn configs in ten are valid, so 1000 examples run about 700
+About six drawn configs in ten are valid, so 1000 examples run about 600
 replications, each drawing its population and running the kernel on a
 different mix of capacities, rates and services. Not part of tier-1, whose
 testpaths is ``tests/``: an accepted config runs a whole replication, up to
 a million arrivals. Run with ``PYTHONPATH=src python -m pytest fuzz``.
 """
 
+import csv
 import json
 import os
 import tempfile
@@ -30,7 +32,10 @@ def test_simulate_runs_or_rejects_every_config(data):
             json.dump(data, fh)
         code = main(["simulate", "--config", config, "--reps", "1", "--out", out])
         if code == 0:
-            assert os.path.getsize(out) > 0
+            with open(out, newline="", encoding="utf-8") as fh:
+                names = [row["name"] for row in csv.DictReader(fh)]
+            assert names
+            assert len(set(names)) == len(names), names
         else:
             assert code == 2
             assert not os.path.exists(out)

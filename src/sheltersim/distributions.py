@@ -15,7 +15,7 @@ sampler's value for its draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,22 +27,12 @@ class TriangularParams:
     low: float
     mode: float
     high: float
-    # Derived once for ``sample_triangular``: the support's width, the widths
-    # on either side of the mode, and the CDF at the mode.
-    span: float = field(init=False, repr=False, compare=False)
-    left: float = field(init=False, repr=False, compare=False)
-    right: float = field(init=False, repr=False, compare=False)
-    cut: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.low <= self.mode <= self.high):
             raise ValueError(f"triangular needs low <= mode <= high, got {self}")
         if not self.low < self.high:
             raise ValueError(f"triangular needs low < high, got {self}")
-        object.__setattr__(self, "span", self.high - self.low)
-        object.__setattr__(self, "left", self.mode - self.low)
-        object.__setattr__(self, "right", self.high - self.mode)
-        object.__setattr__(self, "cut", self.left / self.span)
 
     @property
     def mean(self) -> float:
@@ -67,18 +57,22 @@ class ExponentialParams:
 
 def sample_triangular(p: TriangularParams, u: float) -> float:
     """Inverse-CDF draw from a triangular distribution. Requires 0 <= u < 1."""
+    low, mode, high = p.low, p.mode, p.high
+    span, left = high - low, mode - low
     # Rounding can carry x across the mode (or, at the ends, the support);
     # keeping each branch on its own side of the mode keeps x monotone in u.
-    if u < p.cut:
-        return min(p.low + math.sqrt(u * p.span * p.left), p.mode)
-    return max(p.high - math.sqrt((1.0 - u) * p.span * p.right), p.mode)
+    if u < left / span:
+        return min(low + math.sqrt(u * span * left), mode)
+    return max(high - math.sqrt((1.0 - u) * span * (high - mode)), mode)
 
 
 def triangular_array(p: TriangularParams, u: np.ndarray) -> np.ndarray:
     """``sample_triangular`` of every draw in ``u``."""
-    return np.where(u < p.cut,
-                    np.minimum(p.low + np.sqrt(u * p.span * p.left), p.mode),
-                    np.maximum(p.high - np.sqrt((1.0 - u) * p.span * p.right), p.mode))
+    low, mode, high = p.low, p.mode, p.high
+    span, left = high - low, mode - low
+    return np.where(u < left / span,
+                    np.minimum(low + np.sqrt(u * span * left), mode),
+                    np.maximum(high - np.sqrt((1.0 - u) * span * (high - mode)), mode))
 
 
 def sample_exponential(p: ExponentialParams, u: float) -> float:

@@ -28,6 +28,7 @@ from typing import get_args, get_type_hints
 
 from .kernel import Simulator
 from .model import (
+    BED_RESOURCE,
     DAYS_PER_YEAR,
     MAX_CAPACITY_UNITS,
     FlowCounters,
@@ -53,6 +54,9 @@ MAX_GRID_PAIRS = 10 ** 5
 
 # Each flow and the label of its mean in the CSV, in CSV order.
 FLOW_LABELS = {f.name: f.metadata["label"] for f in fields(FlowCounters)}
+
+# Names no service may take: the results key every pool and flow by name.
+RESERVED_NAMES = (BED_RESOURCE, *FLOW_LABELS.values())
 
 
 def __getattr__(name: str):
@@ -115,6 +119,9 @@ class ScenarioConfig:
             errors.append("services: names must be unique")
         for i, spec in enumerate(self.services):
             errors.extend(spec.validation_errors(path=f"services[{i}]."))
+            if spec.name in RESERVED_NAMES:
+                errors.append(f"services[{i}].name: {spec.name!r} is reserved "
+                              f"for the bed pool or a youth flow")
         if self.annual_arrivals < 0:
             errors.append("annual_arrivals: must be >= 0")
         for name in ("bsy_fraction", "age_16_20_fraction", "renege_exit_prob"):
@@ -440,9 +447,9 @@ def _collect(replication: int, model: ShelterModel) -> ReplicationStats:
 
 def run_replication(config: ScenarioConfig, replication: int,
                     trace: list | None = None) -> ReplicationStats:
-    """Run one seeded replication: build, start, warm up, reset the
-    statistics, run the window, collect. Every event is appended to
-    ``trace`` when one is given (see ``ShelterModel``).
+    """Run one seeded replication: build, warm up, reset the statistics,
+    run the window, collect. Every event is appended to ``trace`` when one
+    is given (see ``ShelterModel``).
     """
     streams = build_streams(config.master_seed, replication)
     sim = Simulator()
@@ -452,7 +459,6 @@ def run_replication(config: ScenarioConfig, replication: int,
         redraw=streams["redraw"] if config.redraw_los_on_bed_renege else None,
         trace=trace,
     )
-    model.start()
     sim.run_until(config.warmup_days)
     model.reset_statistics()
     sim.run_until(config.warmup_days + config.stats_window_days)

@@ -342,12 +342,13 @@ def draw_population(specs: list[ServiceSpec], annual_arrivals: float,
 class ShelterModel:
     """Event-driven shelter with one bed pool and one pool per service.
 
-    The model owns the resources and the youth state machine. Arrivals come
-    from a pre-drawn ``population`` (``start``); tests can instead inject
-    fully specified youths through ``admit``. When ``redraw`` is given, a
-    bed seeker who gives up on a bed and stays redraws their stay from it:
-    the run's only draw, made during the run because whether it is made
-    depends on contention.
+    The model owns the resources and the youth state machine. Building it
+    with a pre-drawn ``population`` feeds the population's arrival times to
+    the calendar, which admits youth ``i`` at ``times[i]``; tests can instead
+    inject fully specified youths through ``admit``. When ``redraw`` is
+    given, a bed seeker who gives up on a bed and stays redraws their stay
+    from it: the run's only draw, made during the run because whether it is
+    made depends on contention.
 
     The ``trace`` list, when supplied, is the only record of what happened
     to each youth; every state change appends one tuple to it:
@@ -377,6 +378,8 @@ class ShelterModel:
         self.trace = trace
         self.counters = FlowCounters()
         self._stats_on = False
+        if population is not None:
+            sim.feed(population.times, self._arrive)
 
     # -- statistics window ---------------------------------------------------
 
@@ -389,12 +392,6 @@ class ShelterModel:
         self._stats_on = True
 
     # -- arrivals --------------------------------------------------------------
-
-    def start(self) -> None:
-        """Feed the population's arrival times to the calendar, which admits
-        youth ``i`` at ``times[i]``."""
-        if self.population is not None:
-            self.sim.feed(self.population.times, self._arrive)
 
     def _arrive(self, i: int) -> None:
         self.admit(self.population.youth(i))

@@ -16,7 +16,7 @@ from sheltersim.distributions import (
     sample_triangular,
     sample_uniform_int,
 )
-from sheltersim.experiment import ScenarioConfig
+from sheltersim.experiment import RESERVED_NAMES, ScenarioConfig
 from sheltersim.kernel import Simulator
 from sheltersim.model import (
     BED_PATIENCE,
@@ -120,6 +120,9 @@ def arrival_log(trace: list) -> list:
     return [entry for entry in trace if entry[0] == "arrival"]
 
 
+# The names of the bed pool's and the flows' rows, which no service may take.
+reserved_names = st.sampled_from(RESERVED_NAMES)
+
 # JSON values of every kind, at the extremes a config file or --set can hold.
 numbers = (st.integers(min_value=-10 ** 400, max_value=10 ** 400)
            | st.floats(allow_nan=True, allow_infinity=True))
@@ -140,7 +143,7 @@ def shaped_like(default):
     elif isinstance(default, bool):
         kind = st.booleans()
     elif isinstance(default, str):
-        kind = st.text(max_size=8)
+        kind = st.text(max_size=8) | reserved_names
     else:
         kind = numbers
     return kind | json_values
@@ -161,14 +164,20 @@ def service_entry(draw, name: str) -> dict:
             "appt_min": appt_min, "appt_max": appt_max}
 
 
-# A valid value for every declared key. A config of these alone is valid and
-# expects at most about 4,400 arrivals per replication, so runs stay short.
+# Unique service names; now and then the first is one the results reserve.
+fresh_names = st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=8,
+                       unique=True)
+service_names = mostly(fresh_names, st.builds(
+    lambda names, name: [name, *names[1:]], fresh_names, reserved_names))
+
+# A usual value for every declared key. A config of these alone is valid
+# unless a service takes a reserved name, and expects at most about 4,400
+# arrivals per replication, so runs stay short.
 fractions = st.floats(0.0, 1.0)
 days = st.floats(0.0, 400.0)
 usual_values = {
     "bed_capacity": st.integers(1, 200),
-    "services": st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=8,
-                         unique=True).flatmap(
+    "services": service_names.flatmap(
         lambda names: st.tuples(*map(service_entry, names)).map(list)),
     "annual_arrivals": st.floats(0.0, 2000.0),
     "bsy_fraction": fractions,
@@ -184,7 +193,7 @@ assert usual_values.keys() == ScenarioConfig().to_dict().keys()
 
 # Config objects over the declared keys. Each value is mostly a valid one;
 # the rest are shaped like the field's value or of any JSON kind, so about
-# seven drawn configs in ten validate.
+# six drawn configs in ten validate.
 config_dicts = st.fixed_dictionaries({}, optional={
     key: mostly(usual_values[key], shaped_like(value))
     for key, value in ScenarioConfig().to_dict().items()})

@@ -82,6 +82,19 @@ def test_set_override_changes_config(capsys):
     assert printed["bed_capacity"] == 81
 
 
+def test_reserved_service_name_exits_2_without_outputs(tmp_path, capsys):
+    # A service renamed to the bed pool's name would fill the bed row with
+    # its own numbers; renamed to a flow label, it would repeat that row.
+    out = tmp_path / "results.csv"
+    for name in ("crisis_beds", "youth_arrivals"):
+        code = run_cli("simulate", "--out", str(out), *FAST_OVERRIDES,
+                       "--set", f"services.medical.name={name}")
+        assert code == 2
+        assert not out.exists()
+        assert (f"config error: services[4].name: {name!r} is reserved"
+                in capsys.readouterr().err)
+
+
 def test_unknown_set_path_exits_2(capsys):
     assert run_cli("validate", "--set", "beds=81") == 2
     assert run_cli("validate", "--set", "services.yoga.capacity_units=3") == 2

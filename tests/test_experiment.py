@@ -29,6 +29,7 @@ from sheltersim.experiment import (
     t_quantile,
     worker_count,
 )
+from sheltersim.model import BED_RESOURCE
 from support import arrival_log, config_dicts, mini_config
 
 
@@ -402,6 +403,16 @@ def test_config_rejects_booleans_as_numbers(data):
     with pytest.raises(ConfigError) as excinfo:
         ScenarioConfig.from_dict(data)
     assert "must be a number" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("name", [BED_RESOURCE, *FLOW_LABELS.values()])
+def test_config_rejects_reserved_service_names(name):
+    # Results key every pool and flow by name: a service under one of their
+    # names would report its numbers in that row and lose the other's.
+    services = list(ScenarioConfig().services)
+    services[4] = replace(services[4], name=name)
+    assert ScenarioConfig(services=tuple(services)).validation_errors() == [
+        f"services[4].name: {name!r} is reserved for the bed pool or a youth flow"]
 
 
 def test_invalid_window_rejected():

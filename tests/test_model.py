@@ -224,10 +224,26 @@ def test_no_arrivals_at_zero_rate():
                                  _streams(1), 365.25)
     assert len(population) == 0
     model = ShelterModel(sim, 5, default_services(), population=population)
-    model.start()
     sim.run_until(365.25)
     assert model.counters.arrivals == 0
     assert sim.now == 365.25
+
+
+def test_building_the_model_feeds_its_population():
+    # Construction is the model's only step: a run to the horizon admits
+    # every youth of the population at its drawn time.
+    sim = Simulator()
+    cfg = mini_config()
+    population = draw_population(
+        list(cfg.services), cfg.annual_arrivals, cfg.bsy_fraction,
+        cfg.age_16_20_fraction, cfg.renege_exit_prob, _streams(3), 300.0)
+    assert len(population) > 0
+    trace: list = []
+    ShelterModel(sim, cfg.bed_capacity, list(cfg.services),
+                 population=population, trace=trace)
+    sim.run_until(300.0)
+    arrivals = [(e[2], e[1]) for e in trace if e[0] == "arrival"]
+    assert arrivals == list(enumerate(population.times))
 
 
 def test_poisson_arrival_count_single_replication():
@@ -269,7 +285,6 @@ def test_conservation_after_drain():
         trace=trace,
     )
     model.reset_statistics()
-    model.start()
     sim.run_until(2000.0)
     counters = model.counters
     assert counters.arrivals > 0
