@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -22,6 +22,7 @@ from .experiment import (
     FLOW_LABELS,
     MAX_GRID_PAIRS,
     ConfigError,
+    ResourceSummary,
     ScenarioConfig,
     ScenarioSummary,
     run_scenario,
@@ -32,14 +33,18 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-RESOURCE_COLUMNS = ("name", "avg_wait_days", "max_wait_days", "utilization_pct",
-                    "pct_reneged", "ci_halfwidth_wait_days", "value")
+# The ``ResourceSummary`` fields the CSV shows, in column order.
+_SHOWN = tuple(f for f in fields(ResourceSummary) if f.metadata)
+RESOURCE_COLUMNS = ("name", *(f.metadata["label"] for f in _SHOWN), "value")
+
+# Sidecar of every ``--out``: ``write_manifest`` writes it after the CSV.
+MANIFEST_SUFFIX = ".manifest.json"
 
 
-def _fmt(value: float | None, decimals: int) -> str:
+def _fmt(value: float | None, decimals: int, scale: float = 1.0) -> str:
     if value is None:
         return ""
-    return f"{value:.{decimals}f}"
+    return f"{value * scale:.{decimals}f}"
 
 
 def load_config(path: str | None) -> dict:
@@ -144,15 +149,10 @@ def _rows(summary: ScenarioSummary):
     """The CSV rows of one summary: one per resource, then one per flow mean.
     The writer leaves the columns a row does not set empty."""
     for name, res in summary.resources.items():
-        utilization_pct = None if res.utilization is None else 100.0 * res.utilization
-        yield {
-            "name": name,
-            "avg_wait_days": _fmt(res.avg_wait, 2),
-            "max_wait_days": _fmt(res.max_wait, 2),
-            "utilization_pct": _fmt(utilization_pct, 1),
-            "pct_reneged": _fmt(res.renege_pct, 1),
-            "ci_halfwidth_wait_days": _fmt(res.avg_wait_ci, 2),
-        }
+        yield {"name": name, **{
+            f.metadata["label"]: _fmt(getattr(res, f.name), f.metadata["decimals"],
+                                      f.metadata["scale"])
+            for f in _SHOWN}}
     for key, label in FLOW_LABELS.items():
         yield {"name": label, "value": _fmt(summary.flows[key][0], 2)}
 
@@ -177,7 +177,7 @@ def _file_sha256(path: str) -> str:
 
 
 def write_manifest(out_path: str, command: str, config: ScenarioConfig) -> str:
-    manifest_path = out_path + ".manifest.json"
+    manifest_path = out_path + MANIFEST_SUFFIX
     manifest = {
         "tool": "sheltersim",
         "version": __version__,
@@ -219,25 +219,29 @@ def print_summary_table(summary: ScenarioSummary, heading: str | None = None) ->
 
 def _run_to_csv(args, config: ScenarioConfig, run, write):
     """The output sequence of ``simulate`` and ``sweep``: open ``args.out``
-    without truncating it (before the run, so an unwritable path fails at
-    once), then ``write(fh, run())`` into it, then write the manifest.
-    Returns the run's result and the manifest path. If the run or the write
-    fails, the file is removed when this call created it; an existing file
-    is left as it was unless the write itself failed."""
-    created = not os.path.lexists(args.out)
+    and its manifest path without truncating them (before the run, so an
+    unwritable path fails at once), then ``write(fh, run())`` into
+    ``args.out``, then write the manifest. Returns the run's result and the
+    manifest path. If any step fails, every file this call created is
+    removed; an existing file is left as it was unless writing it failed."""
+    created = []
     try:
-        open(args.out, "a").close()
-    except OSError as exc:
-        raise OSError(f"cannot write {args.out}: {exc}") from exc
-    try:
+        for path in (args.out, args.out + MANIFEST_SUFFIX):
+            fresh = not os.path.lexists(path)
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise OSError(f"cannot write {path}: {exc}") from exc
+            if fresh:
+                created.append(path)
         result = run()
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write(fh, result)
+        return result, write_manifest(args.out, args.command, config)
     except BaseException:
-        if created:
-            os.unlink(args.out)
+        for path in created:
+            os.unlink(path)
         raise
-    return result, write_manifest(args.out, args.command, config)
 
 
 def cmd_simulate(args) -> int:

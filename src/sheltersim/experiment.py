@@ -21,9 +21,8 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import lru_cache, reduce
-from operator import add
 from typing import get_args, get_type_hints
 
 from .kernel import Simulator
@@ -39,6 +38,7 @@ from .model import (
     draw_population,
     nonfinite_errors,
 )
+from .stats import _total, estimate
 from .streams import RngStream
 
 # Streams a replication may consume, in no particular order.
@@ -247,17 +247,29 @@ class ReplicationStats(FlowCounters):
     resources: dict[str, ResourceWindowStats]
 
 
+def _column(label: str, decimals: int, scale: float = 1.0):
+    return field(metadata={"label": label, "decimals": decimals, "scale": scale})
+
+
 @dataclass(frozen=True)
 class ResourceSummary:
-    """Cross-replication aggregate for one resource."""
+    """Cross-replication aggregate for one resource; the one declaration of
+    its metrics. A field the CSV shows carries its column label, decimals and
+    scale, in CSV order. ``<metric>_ci`` is the half-width of ``<metric>``."""
 
-    avg_wait: float | None
-    avg_wait_ci: float | None
-    max_wait: float | None
-    utilization: float | None
+    avg_wait: float | None = _column("avg_wait_days", 2)
+    max_wait: float | None = _column("max_wait_days", 2)
+    utilization: float | None = _column("utilization_pct", 1, scale=100.0)
+    renege_pct: float | None = _column("pct_reneged", 1)
+    avg_wait_ci: float | None = _column("ci_halfwidth_wait_days", 2)
     utilization_ci: float | None
-    renege_pct: float | None
     renege_pct_ci: float | None
+
+
+# The resource metrics with a half-width: each the ``stats.estimate`` of the
+# ``ResourceWindowStats`` attribute of the same name over the replications.
+ESTIMATED_METRICS = tuple(f.name.removesuffix("_ci") for f in fields(ResourceSummary)
+                          if f.name.endswith("_ci"))
 
 
 @dataclass(frozen=True)
@@ -268,129 +280,6 @@ class ScenarioSummary:
     resources: dict[str, ResourceSummary]
     flows: dict[str, tuple[float | None, float | None]]
     replications: list[ReplicationStats]
-
-
-def estimate(values) -> tuple[float | None, float | None]:
-    """Mean of the ``values`` that are not None, and the half-width of its
-    95% Student-t confidence interval. The half-width is None with fewer
-    than two values, and the mean too with none."""
-    values = [v for v in values if v is not None]
-    n = len(values)
-    if not n:
-        return None, None
-    mean = _total(values) / n
-    if n < 2:
-        return mean, None
-    var = _total((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, t_quantile(0.975, n - 1) * math.sqrt(var / n)
-
-
-# Cached because ``estimate`` asks for the same quantile for every metric.
-@lru_cache(maxsize=256)
-def t_quantile(p: float, df: float) -> float:
-    """The ``p``-quantile of Student's t distribution with ``df`` degrees of
-    freedom, for 0.5 <= p < 1 and df > 0.
-
-    Newton steps on log t against the log of a tail mass, from a
-    Cornish-Fisher starting value; each step evaluates the mass with the
-    continued fraction of the regularized incomplete beta function, whose
-    length does not grow with df. The result is within about 1e-14 relative
-    of the exact quantile at the 90-99.9% levels, for any df.
-    """
-    if not (0.5 <= p < 1.0 and df > 0.0):
-        raise ValueError(f"t_quantile needs 0.5 <= p < 1 and df > 0, got p={p}, df={df}")
-    if p == 0.5:
-        return 0.0
-    t = _cornish_fisher(1.0 - p, df)
-    if t <= 0.0:  # the start's normal quantile is off by up to 4.5e-4
-        t = p - 0.5
-    for _ in range(50):
-        mass, upper, density = _t_mass(t, df)
-        target = 1.0 - p if upper else p - 0.5
-        step = math.log(mass / target) * mass / (t * density)
-        t *= math.exp(step if upper else -step)
-        # Convergence is quadratic: once a step is below 1e-9 the error left
-        # is of order its square, far below double precision.
-        if abs(step) < 1e-9:
-            return t
-    raise ArithmeticError(f"t_quantile did not converge for p={p}, df={df}")
-
-
-def _cornish_fisher(q: float, df: float) -> float:
-    """Approximate upper-q point of Student's t: the normal quantile of
-    Abramowitz & Stegun 26.2.23 (error < 4.5e-4) corrected by the
-    Cornish-Fisher series in 1/df of A&S 26.7.5."""
-    s = math.sqrt(-2.0 * math.log(q))
-    z = s - (2.515517 + s * (0.802853 + s * 0.010328)) / (
-        1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308)))
-    z2 = z * z
-    g1 = (z2 + 1.0) * z / 4.0
-    g2 = ((5.0 * z2 + 16.0) * z2 + 3.0) * z / 96.0
-    g3 = (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) * z / 384.0
-    g4 = ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) * z / 92160.0
-    return z + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
-
-
-def _t_mass(t: float, df: float) -> tuple[float, bool, float]:
-    """``(mass, upper, density)`` of Student's t at ``t > 0``.
-
-    ``mass`` is the upper tail P(T > t) when ``upper``, else the central
-    part P(0 < T < t); whichever is returned is the one computed without
-    cancellation. With x = df / (df + t^2), P(T > t) = I_x(df/2, 1/2) / 2.
-    """
-    a = 0.5 * df
-    t2 = t * t
-    x = df / (df + t2)
-    y = t2 / (df + t2)
-    inv_beta = math.sqrt(a / math.pi) * _half_gamma_ratio(a)  # 1 / B(a, 1/2)
-    x_pow_a = math.exp(-a * math.log1p(t2 / df))
-    front = x_pow_a * math.sqrt(y) * inv_beta
-    density = x_pow_a * math.sqrt(x) * inv_beta / math.sqrt(df)
-    if x < (a + 1.0) / (a + 2.5):
-        return 0.5 * front * _beta_fraction(a, 0.5, x, y) / a, True, density
-    return front * _beta_fraction(0.5, a, y, x), False, density
-
-
-def _half_gamma_ratio(a: float) -> float:
-    """Gamma(a + 1/2) / (Gamma(a) sqrt(a)), to a few ulp for any a > 0."""
-    if a < 20.0:
-        return math.gamma(a + 0.5) / (math.gamma(a) * math.sqrt(a))
-    # Stirling series of the log ratio; the first omitted term is below 1e-16.
-    r = 1.0 / (a * a)
-    return math.exp((-1.0 / 8.0 + r * (1.0 / 192.0 + r * (-1.0 / 640.0 + r * (
-        17.0 / 14336.0 - r * 31.0 / 18432.0)))) / a)
-
-
-def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
-    """Continued fraction h of I_x(a, b) = x^a y^b h / (a B(a, b)), y = 1 - x.
-
-    Uses the even contraction of the classical fraction (Abramowitz & Stegun
-    26.5.8) under the modified Lentz method. For x > 1/2 each partial
-    denominator 1 + d_odd is formed from y, so none cancels when a is large.
-    """
-    ab = a + b
-    d_odd = -ab * x / (a + 1.0)
-    f = 1.0 + d_odd if x <= 0.5 else ((1.0 - b) + ab * y) / (a + 1.0)
-    c, d = f, 0.0
-    for m in range(1, 1000):
-        am = a + 2 * m
-        d_even = m * (b - m) * x / ((am - 1.0) * am)
-        den = am * (am + 1.0)
-        num = (a + m) * (ab + m)
-        if x <= 0.5:
-            one_plus_odd = 1.0 - num * x / den
-        else:
-            one_plus_odd = (a * (2 * m + 1 - b) + m * (3 * m + 2 - b) + num * y) / den
-        an = -d_odd * d_even
-        bn = one_plus_odd + d_even
-        d_odd = -num * x / den
-        d = 1.0 / (bn + an * d)
-        c = bn + an / c
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) <= 2.0 ** -52:
-            return 1.0 / f
-    raise ArithmeticError(f"incomplete beta fraction did not converge for a={a}, b={b}, x={x}")
 
 
 def build_streams(master_seed: int, replication: int) -> dict[str, RngStream]:
@@ -482,21 +371,14 @@ def summarize(reps: list[ReplicationStats]) -> ScenarioSummary:
     resources = {}
     for name in resource_names:
         per_rep = [r.resources[name] for r in reps]
-        resources[name] = ResourceSummary(
-            *estimate(s.avg_wait for s in per_rep),
-            max((s.max_wait for s in per_rep if s.max_wait is not None), default=None),
-            *estimate(s.utilization for s in per_rep),
-            *estimate(s.renege_pct for s in per_rep),
-        )
+        values = {"max_wait": max((s.max_wait for s in per_rep if s.max_wait is not None),
+                                  default=None)}
+        for metric in ESTIMATED_METRICS:
+            values[metric], values[f"{metric}_ci"] = estimate(
+                getattr(s, metric) for s in per_rep)
+        resources[name] = ResourceSummary(**values)
     flows = {name: estimate(getattr(r, name) for r in reps) for name in FLOW_LABELS}
     return ScenarioSummary(resources=resources, flows=flows, replications=reps)
-
-
-def _total(values) -> float:
-    """The float sum of ``values``, added left to right. From Python 3.12
-    ``sum()`` compensates the rounding of floats, so its result would depend
-    on the Python version."""
-    return reduce(add, values, 0.0)
 
 
 def available_cpus() -> int:
@@ -579,10 +461,10 @@ def sweep(config: ScenarioConfig, parameter: str, values: list[int],
 
     Sharing the seed couples the scenarios through common random numbers:
     identical arrivals and youth attributes, different contention only.
-    The pair count is checked against ``MAX_GRID_PAIRS`` and every swept
-    config validated before anything runs; then all (value, replication)
-    pairs run as one grid (see ``_run_grid``), and each replication's
-    population is drawn once per process, not once per value.
+    The pair count is checked against ``MAX_GRID_PAIRS``, repeats rejected
+    and every swept config validated before anything runs; then all (value,
+    replication) pairs run as one grid (see ``_run_grid``), and each
+    replication's population is drawn once per process, not once per value.
     """
     if not values:
         raise ConfigError(["values: must be non-empty"])
@@ -590,6 +472,9 @@ def sweep(config: ScenarioConfig, parameter: str, values: list[int],
     if pairs > MAX_GRID_PAIRS:
         raise ConfigError([f"values x replications: {pairs:,} (value, replication) "
                            f"pairs, above the limit of {MAX_GRID_PAIRS:,}"])
+    repeated = [value for value, count in Counter(values).items() if count > 1]
+    if repeated:
+        raise ConfigError([f"values: {value} is repeated" for value in repeated])
     swept = [apply_parameter(config, parameter, value) for value in values]
     errors = [f"{parameter}={value}: {error}"
               for value, cfg in zip(values, swept) for error in cfg.validation_errors()]

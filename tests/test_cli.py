@@ -203,6 +203,11 @@ def test_sweep_rejects_bad_values(tmp_path, capsys):
                    "--out", str(out)) == 2
     assert run_cli("sweep", "--param", "service:medical", "--values", "1" + "0" * 400,
                    "--out", str(out)) == 2
+    assert run_cli("sweep", "--param", "bed_capacity", "--values", "66,66",
+                   "--out", str(out), *FAST_OVERRIDES) == 2
+    assert run_cli("sweep", "--param", "bed_capacity", "--values", "60,66,60",
+                   "--out", str(out), *FAST_OVERRIDES) == 2
+    assert "config error: values: 60 is repeated" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -334,6 +339,19 @@ def test_failed_command_leaves_an_existing_out_unchanged(tmp_path, argv):
     assert run_cli(*argv, "--out", str(out), *FAST_OVERRIDES) == 2
     assert out.read_bytes() == b"earlier results\n"
     assert not (tmp_path / "results.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("existing", [None, b"earlier results\n"])
+def test_unwritable_manifest_exits_3_and_leaves_out_as_it_was(tmp_path, existing):
+    out = tmp_path / "results.csv"
+    if existing is not None:
+        out.write_bytes(existing)
+    (tmp_path / "results.csv.manifest.json").mkdir()
+    assert run_cli("simulate", "--out", str(out), *FAST_OVERRIDES) == 3
+    assert (out.read_bytes() if out.exists() else None) == existing
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["results.csv.manifest.json"] if existing is None
+        else ["results.csv", "results.csv.manifest.json"])
 
 
 def _modules_after_serial_simulate(tmp_path) -> list[str]:

@@ -17,19 +17,17 @@ from sheltersim.experiment import (
     MAX_GRID_PAIRS,
     ConfigError,
     ScenarioConfig,
-    _total,
     apply_parameter,
     build_streams,
-    estimate,
     replication_population,
     run_replication,
     run_scenario,
     summarize,
     sweep,
-    t_quantile,
     worker_count,
 )
 from sheltersim.model import BED_RESOURCE
+from sheltersim.stats import _total, estimate, t_quantile
 from support import arrival_log, config_dicts, mini_config
 
 
@@ -229,6 +227,12 @@ def test_sweep_rejects_bad_input():
     for values in (range(10 ** 12), range(MAX_GRID_PAIRS // cfg.replications + 1)):
         with pytest.raises(ConfigError, match="above the limit of 100,000"):
             sweep(cfg, "bed_capacity", values)
+    # A repeated value fails before any replication, and after the pair count.
+    for values in ([8, 8], [6, 8, 10, 8]):
+        with pytest.raises(ConfigError, match="values: 8 is repeated"):
+            sweep(cfg, "bed_capacity", values)
+    with pytest.raises(ConfigError, match="above the limit of 100,000"):
+        sweep(cfg, "bed_capacity", [8] * (MAX_GRID_PAIRS // cfg.replications + 1))
 
 
 def test_sweep_sets_service_capacity():

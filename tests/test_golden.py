@@ -1,5 +1,5 @@
 """Golden digests: pin the bytes of a small fixed-seed simulate CSV and sweep
-CSV, the statistics and event traces of full-size replications, the drawn
+CSV, the full summary and printed tables behind them, the statistics and event traces of full-size replications, the drawn
 populations of two replications, and the first draws of every named stream.
 
 These back the claim that identical config and seed give identical results on
@@ -8,15 +8,16 @@ across its releases (NEP 19), so a mismatch after a numpy upgrade means the
 streams moved, not necessarily that sheltersim did.
 """
 
+import contextlib
 import hashlib
 import io
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from sheltersim.cli import write_scenario_csv, write_sweep_csv
+from sheltersim.cli import print_summary_table, write_scenario_csv, write_sweep_csv
 from sheltersim.experiment import (
     STREAM_NAMES,
     ScenarioConfig,
@@ -33,6 +34,12 @@ DIGESTS_NUMPY = "2.4.6"
 
 SIMULATE_SHA256 = "9246b0ac11d13d4ac7efc58e753784f2c308825a07bfcd58cd9f5721878241b1"
 SWEEP_SHA256 = "4dd7ed31db20d8481a09d150bd090744675eae924de3012651ce16c57845a554"
+
+# Every field of the simulate summary, keyed by name, so the CSV's rounding
+# and its missing columns (the utilization and renege CIs) hide nothing.
+SUMMARY_SHA256 = "f32036ea504e531b3147059329c9c949b56db3bf01bebf258d68197f2a5ea19f"
+# The stdout tables of that simulate and of that sweep, in that order.
+TABLES_SHA256 = "ad5a76b4e03c5e2cce83da38cc20113b0f08359a84ce2d2aaf1d9424143f10cb"
 
 # ``repr((stats, trace))`` of replications 0-3 of configs/baseline.json at
 # each bed capacity, with the stay redraw off and on, fed to one hash in
@@ -79,6 +86,23 @@ def test_sweep_csv_digest():
     results = sweep(mini_config(replications=3), "bed_capacity", [6, 10])
     write_sweep_csv(buf, "bed_capacity", results)
     assert _sha256(buf.getvalue()) == SWEEP_SHA256, _provenance("sweep CSV")
+
+
+def test_summary_digest():
+    summary = run_scenario(mini_config(replications=3))
+    text = json.dumps({"resources": {pool: asdict(res)
+                                     for pool, res in summary.resources.items()},
+                       "flows": summary.flows}, sort_keys=True)
+    assert _sha256(text) == SUMMARY_SHA256, _provenance("summary")
+
+
+def test_printed_tables_digest():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        print_summary_table(run_scenario(mini_config(replications=3)))
+        for value, summary in sweep(mini_config(replications=3), "bed_capacity", [6, 10]):
+            print_summary_table(summary, heading=f"--- bed_capacity = {value} ---")
+    assert _sha256(buf.getvalue()) == TABLES_SHA256, _provenance("printed tables")
 
 
 def test_replication_stats_and_traces_digest():

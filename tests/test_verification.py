@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from sheltersim.experiment import ScenarioConfig, estimate, run_replication, run_scenario
+from sheltersim.experiment import ScenarioConfig, run_replication, run_scenario
 from sheltersim.model import (
     BED_RESOURCE,
     DAYS_PER_YEAR,
@@ -14,6 +14,7 @@ from sheltersim.model import (
     LOS_BED_SEEKING_21_24,
     LOS_SERVICE_ONLY,
 )
+from sheltersim.stats import estimate
 from support import mini_config
 
 
