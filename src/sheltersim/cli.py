@@ -176,15 +176,21 @@ def _file_sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def write_manifest(out_path: str, command: str, config: ScenarioConfig) -> str:
+def write_manifest(args, config: ScenarioConfig) -> str:
+    """Write the manifest of the command ``args`` beside its ``args.out``.
+    A sweep's manifest also names the swept parameter and its values."""
+    out_path = args.out
     manifest_path = out_path + MANIFEST_SUFFIX
+    swept = ({"parameter": args.param, "values": parse_values(args.values)}
+             if args.command == "sweep" else {})
     manifest = {
         "tool": "sheltersim",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "config_digest": config.digest(),
         "master_seed": config.master_seed,
         "replications": config.replications,
+        **swept,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [os.path.abspath(out_path)],
         "python": sys.version.split()[0],
@@ -237,7 +243,7 @@ def _run_to_csv(args, config: ScenarioConfig, run, write):
         result = run()
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write(fh, result)
-        return result, write_manifest(args.out, args.command, config)
+        return result, write_manifest(args, config)
     except BaseException:
         for path in created:
             os.unlink(path)

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import get_args, get_type_hints
 
-from .kernel import Simulator
+from .kernel import ResourceWindowStats, Simulator
 from .model import (
     BED_RESOURCE,
     DAYS_PER_YEAR,
@@ -38,7 +38,7 @@ from .model import (
     draw_population,
     nonfinite_errors,
 )
-from .stats import _total, estimate
+from .stats import estimate
 from .streams import RngStream
 
 # Streams a replication may consume, in no particular order.
@@ -219,25 +219,6 @@ def _coerce(kind, value, path: str, errors: list[str]):
     return None
 
 
-@dataclass(frozen=True)
-class ResourceWindowStats:
-    """One resource's statistics over one replication's window."""
-
-    requests: int
-    served: int
-    reneges: int
-    still_queued: int
-    avg_wait: float | None
-    max_wait: float | None
-    utilization: float | None
-
-    @property
-    def renege_pct(self) -> float | None:
-        if self.requests == 0:
-            return None
-        return 100.0 * self.reneges / self.requests
-
-
 @dataclass(kw_only=True)
 class ReplicationStats(FlowCounters):
     """Everything measured in one replication's statistics window: the
@@ -316,24 +297,6 @@ def replication_population(config: ScenarioConfig, replication: int,
     return _population_cache[1]
 
 
-def _collect(replication: int, model: ShelterModel) -> ReplicationStats:
-    resources = {}
-    for res in model.pools:
-        s = res.stats
-        waits = s.served_waits
-        resources[res.name] = ResourceWindowStats(
-            requests=s.request_count,
-            served=len(waits),
-            reneges=s.renege_count,
-            still_queued=res.still_queued_counted(),
-            avg_wait=_total(waits) / len(waits) if waits else None,
-            max_wait=max(waits) if waits else None,
-            utilization=res.utilization(),
-        )
-    return ReplicationStats(replication=replication, resources=resources,
-                            **vars(model.counters))
-
-
 def run_replication(config: ScenarioConfig, replication: int,
                     trace: list | None = None) -> ReplicationStats:
     """Run one seeded replication: build, warm up, reset the statistics,
@@ -351,7 +314,8 @@ def run_replication(config: ScenarioConfig, replication: int,
     sim.run_until(config.warmup_days)
     model.reset_statistics()
     sim.run_until(config.warmup_days + config.stats_window_days)
-    stats = _collect(replication, model)
+    stats = ReplicationStats(replication=replication, **vars(model.counters),
+                             resources={p.name: p.window_stats() for p in model.pools})
     # Pending entries and the arrival feed hold the model's methods, queued
     # requests hold their timers, and each pool's ledger holds the youths
     # that hold the pool: emptying them lets reference counting free the

@@ -10,8 +10,10 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
+
+from .stats import _total
 
 
 class EventHandle(list):
@@ -140,14 +142,23 @@ class PendingRequest:
         self.counted = True
 
 
-@dataclass
-class ResourceStats:
-    """Counters accumulated since the last statistics reset."""
+@dataclass(frozen=True)
+class ResourceWindowStats:
+    """One resource's statistics over one replication's window."""
 
-    request_count: int = 0
-    served_waits: list[float] = field(default_factory=list)
-    renege_count: int = 0
-    busy_time_integral: float = 0.0  # unit-days
+    requests: int
+    served: int
+    reneges: int
+    still_queued: int
+    avg_wait: float | None
+    max_wait: float | None
+    utilization: float | None
+
+    @property
+    def renege_pct(self) -> float | None:
+        if self.requests == 0:
+            return None
+        return 100.0 * self.reneges / self.requests
 
 
 class Resource:
@@ -159,8 +170,9 @@ class Resource:
     release returns every unit the entity holds.
     """
 
-    __slots__ = ("sim", "name", "capacity", "busy", "queue", "stats",
-                 "_held", "_last_ts", "_window_start")
+    __slots__ = ("sim", "name", "capacity", "busy", "queue", "_held",
+                 "request_count", "served_waits", "renege_count",
+                 "busy_time_integral", "_last_ts", "_window_start")
 
     def __init__(self, sim: Simulator, name: str, capacity: int):
         if not (0 <= capacity < math.inf and int(capacity) == capacity):
@@ -170,45 +182,52 @@ class Resource:
         self.capacity = int(capacity)
         self.busy = 0
         self.queue: deque[PendingRequest] = deque()
-        self.stats = ResourceStats()
         self._held: dict = {}
-        self._last_ts = sim.now
-        self._window_start = sim.now
+        self.reset_statistics()
 
     # -- statistics window ------------------------------------------------
 
     def _advance_integral(self) -> None:
         now = self.sim.now
         if now > self._last_ts:
-            self.stats.busy_time_integral += self.busy * (now - self._last_ts)
+            self.busy_time_integral += self.busy * (now - self._last_ts)
             self._last_ts = now
 
     def reset_statistics(self) -> None:
-        """Zero all counters and restart busy-time integration at the current
-        clock. Requests already in the queue stop counting toward totals."""
-        self.stats = ResourceStats()
-        self._last_ts = self.sim.now
-        self._window_start = self.sim.now
+        """Start a statistics window at the current clock: zero the counters
+        and the busy-time integral (unit-days). Requests already in the
+        queue stop counting toward totals."""
+        self.request_count = 0
+        self.served_waits: list[float] = []
+        self.renege_count = 0
+        self.busy_time_integral = 0.0
+        self._last_ts = self._window_start = self.sim.now
         for req in self.queue:
             req.counted = False
 
-    def utilization(self) -> float | None:
-        """Time-averaged fraction of units held from the last statistics
-        reset (or creation) to now; ``None`` when it is undefined, for a
-        zero-capacity pool or an empty window."""
-        window = self.sim.now - self._window_start
-        if self.capacity == 0 or window <= 0:
-            return None
+    def window_stats(self) -> ResourceWindowStats:
+        """The statistics of the window from the last reset (or creation) to
+        now. Utilization is the time-averaged fraction of units held, and
+        ``None`` when undefined: for a zero-capacity pool or an empty
+        window."""
         self._advance_integral()
-        return self.stats.busy_time_integral / (self.capacity * window)
+        waits = self.served_waits
+        window = self.sim.now - self._window_start
+        return ResourceWindowStats(
+            requests=self.request_count,
+            served=len(waits),
+            reneges=self.renege_count,
+            still_queued=sum(1 for req in self.queue if req.counted),
+            avg_wait=_total(waits) / len(waits) if waits else None,
+            max_wait=max(waits) if waits else None,
+            utilization=(self.busy_time_integral / (self.capacity * window)
+                         if self.capacity and window > 0 else None),
+        )
 
     # -- holdings ----------------------------------------------------------
 
     def held_by(self, entity) -> int:
         return self._held.get(entity, 0)
-
-    def still_queued_counted(self) -> int:
-        return sum(1 for req in self.queue if req.counted)
 
     # -- request / release ---------------------------------------------------
 
@@ -238,18 +257,17 @@ class Resource:
                 f"{self.name}: request for {units} units can never be satisfied "
                 f"(capacity {self.capacity})"
             )
-        stats = self.stats
-        stats.request_count += 1
+        self.request_count += 1
         now = self.sim.now
         busy = self.busy
         if not self.queue and busy + units <= self.capacity:
             if now > self._last_ts:
-                stats.busy_time_integral += busy * (now - self._last_ts)
+                self.busy_time_integral += busy * (now - self._last_ts)
                 self._last_ts = now
             self.busy = busy + units
             held = self._held
             held[entity] = held.get(entity, 0) + units
-            stats.served_waits.append(0.0)
+            self.served_waits.append(0.0)
             on_grant(entity, self, 0.0)
             return
         req = PendingRequest(self, entity, units, now, on_grant, on_renege)
@@ -276,7 +294,7 @@ class Resource:
             raise ValueError(f"{self.name}: entity {entity} holds no units")
         now = self.sim.now
         if now > self._last_ts:
-            self.stats.busy_time_integral += self.busy * (now - self._last_ts)
+            self.busy_time_integral += self.busy * (now - self._last_ts)
             self._last_ts = now
         self.busy = busy = self.busy - units
         queue = self.queue
@@ -288,7 +306,7 @@ class Resource:
         # never look past a blocked head. The clock stands still through the
         # grants, so one advance of the integral covers them all. A grant
         # callback may re-enter this pool (request, release, reset), so busy
-        # and stats are read afresh.
+        # and the counters are read afresh.
         self._advance_integral()
         now = self.sim.now
         queue = self.queue
@@ -307,7 +325,7 @@ class Resource:
             held[entity] = held.get(entity, 0) + req.units
             wait = now - req.enqueue_time
             if req.counted:
-                self.stats.served_waits.append(wait)
+                self.served_waits.append(wait)
             req.on_grant(entity, self, wait)
 
     def _renege_due(self, due: list[PendingRequest]) -> None:
@@ -327,7 +345,7 @@ class Resource:
         req.timer = None
         self.queue.remove(req)
         if req.counted:
-            self.stats.renege_count += 1
+            self.renege_count += 1
         req.on_renege(req.entity, self)
         # Removing a blocked head can unblock smaller requests behind it.
         queue = self.queue

@@ -212,10 +212,11 @@ def _check_case(capacity, requests, log, resource):
     assert granted_order == expected_order, "grant order violates FIFO"
     assert len(granted_order) + len(reneged) == len(requests), "conservation"
     assert resource.busy == 0 and not resource.queue
-    stats = resource.stats
-    assert stats.request_count == len(requests)
-    assert stats.renege_count == len(reneged)
-    assert sorted(stats.served_waits) == sorted(
+    w = resource.window_stats()
+    assert w.requests == w.served + w.reneges + w.still_queued
+    assert w.requests == len(requests)
+    assert w.reneges == len(reneged)
+    assert sorted(resource.served_waits) == sorted(
         t - request_times[e] for _, t, e, _, _ in
         ((None,) + entry[1:] for entry in log if entry[0] == "grant"))
 

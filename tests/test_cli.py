@@ -28,6 +28,13 @@ FAST_OVERRIDES = [
 ]
 
 
+# The manifest keys of every command, in order; a sweep's manifest adds
+# "parameter" and "values" after "replications".
+MANIFEST_KEYS = ["tool", "version", "command", "config_digest", "master_seed",
+                 "replications", "created_utc", "outputs", "python", "numpy",
+                 "output_sha256"]
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -113,6 +120,8 @@ def test_simulate_writes_csv_and_manifest(tmp_path, capsys):
     assert "bed_renege_exit" in names
     assert len(rows) == 6 + 8
     manifest = json.loads((tmp_path / "results.csv.manifest.json").read_text())
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == "simulate"
     assert manifest["master_seed"] == 9
     assert manifest["outputs"] == [str(out)]
     assert manifest["python"] == platform.python_version()
@@ -157,6 +166,11 @@ def test_sweep_csv_blocks(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2 * (6 + 8)
     assert {row["bed_capacity"] for row in rows} == {"8", "10"}
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert list(manifest) == MANIFEST_KEYS[:6] + ["parameter", "values"] + MANIFEST_KEYS[6:]
+    assert manifest["command"] == "sweep"
+    assert manifest["parameter"] == "bed_capacity"
+    assert manifest["values"] == [8, 10]
 
 
 def test_sweep_service_parameter(tmp_path):
@@ -167,6 +181,8 @@ def test_sweep_service_parameter(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {row["service:psychiatric"] for row in rows} == {"56", "72"}
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert (manifest["parameter"], manifest["values"]) == ("service:psychiatric", [56, 72])
 
 
 def test_one_value_sweep_csv_is_the_simulate_csv_with_a_value_column(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheltersim.kernel import Resource, Simulator
+from sheltersim.kernel import Resource, ResourceWindowStats, Simulator
 
 
 def test_schedule_fires_at_time():
@@ -294,7 +294,7 @@ def test_renege_at_exact_deadline():
     sim.run_until(20.0)
     assert events == [("reneged", 7.0)]
     assert [label for label, _ in rec.grants] == ["holder"]
-    assert res.stats.renege_count == 1
+    assert res.window_stats().reneges == 1
 
 
 def test_multi_unit_head_blocks_smaller_request_behind():
@@ -347,7 +347,7 @@ def test_release_decrements_and_regrants():
     sim.run_until(3.0)
     assert res.busy == 1
     assert rec.grants == [("a", 0.0), ("b", 3.0)]
-    assert res.stats.served_waits == [0.0, 3.0]
+    assert res.served_waits == [0.0, 3.0]
 
 
 def test_release_with_empty_queue_grants_nothing():
@@ -387,38 +387,30 @@ def test_unsatisfiable_request_is_an_error():
         res.request("a", 0, 5.0, rec.on_grant("a"), rec.on_renege("a"))
 
 
-def test_utilization_fully_held():
+def test_window_stats():
     sim = Simulator()
-    res = Resource(sim, "pool", 1)
+    full = Resource(sim, "full", 1)
+    half = Resource(sim, "half", 2)
+    none = Resource(sim, "none", 0)
     rec = Recorder()
-    res.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
+    # "full" is held for the whole window; "half" has one unit of two held
+    # for half of it.
+    full.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
+    half.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
+    sim.schedule(5.0, half.release, "a")
     sim.run_until(10.0)
-    assert res.utilization() == 1.0
-
-
-def test_utilization_half_window_one_of_two_units():
-    sim = Simulator()
-    res = Resource(sim, "pool", 2)
-    rec = Recorder()
-    res.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
-    sim.schedule(5.0, res.release, "a")
-    sim.run_until(10.0)
-    assert res.utilization() == pytest.approx(0.25)
-
-
-def test_utilization_of_zero_capacity_is_none():
-    sim = Simulator()
-    res = Resource(sim, "pool", 0)
-    sim.run_until(10.0)
-    assert res.utilization() is None
-
-
-def test_utilization_of_an_empty_window_is_none():
-    sim = Simulator()
-    res = Resource(sim, "pool", 1)
-    sim.run_until(10.0)
-    res.reset_statistics()
-    assert res.utilization() is None
+    first = full.window_stats()
+    assert first == ResourceWindowStats(requests=1, served=1, reneges=0, still_queued=0,
+                                        avg_wait=0.0, max_wait=0.0, utilization=1.0)
+    # A second read at the same clock adds nothing to the busy-time integral.
+    assert full.window_stats() == first
+    assert half.window_stats().utilization == pytest.approx(0.25)
+    # Utilization is undefined for a zero-capacity pool and an empty window.
+    assert none.window_stats().utilization is None
+    full.reset_statistics()
+    assert full.window_stats() == ResourceWindowStats(0, 0, 0, 0, None, None, None)
+    sim.run_until(12.0)
+    assert full.window_stats().utilization == 1.0
 
 
 def test_statistics_reset_discards_warmup_counts():
@@ -432,14 +424,14 @@ def test_statistics_reset_discards_warmup_counts():
                 rec.on_renege("q"))
     sim.run_until(10.0)
     res.reset_statistics()
-    assert res.stats.request_count == 0
-    assert res.stats.busy_time_integral == 0.0
+    assert res.window_stats() == ResourceWindowStats(0, 0, 0, 0, None, None, None)
+    assert res.busy_time_integral == 0.0
     sim.schedule(12.0, res.release, "w")
     sim.run_until(20.0)
-    assert res.stats.served_waits == []
-    assert res.stats.renege_count == 0
+    w = res.window_stats()
+    assert (w.requests, w.served, w.reneges, w.still_queued) == (0, 0, 0, 0)
     # The unit was held 10-12 by "w" and 12-14 by "q" within the 10-day window.
-    assert res.utilization() == pytest.approx(0.4)
+    assert w.utilization == pytest.approx(0.4)
 
 
 def test_request_conservation_identity():
@@ -451,11 +443,11 @@ def test_request_conservation_identity():
     res.request("c", 1, 100.0, rec.on_grant("c"), rec.on_renege("c"))
     sim.schedule(50.0, res.release, "a")
     sim.run_until(60.0)
-    s = res.stats
-    assert s.request_count == len(s.served_waits) + s.renege_count + res.still_queued_counted()
-    assert s.request_count == 3
-    assert s.renege_count == 1  # "b" at t=3
-    assert len(s.served_waits) == 2  # "a" immediately, "c" at t=50
+    w = res.window_stats()
+    assert w.requests == w.served + w.reneges + w.still_queued
+    assert w.requests == 3
+    assert w.reneges == 1  # "b" at t=3
+    assert w.served == 2  # "a" immediately, "c" at t=50
 
 
 @pytest.mark.parametrize("patience", [float("nan"), -1.0, float("-inf")])
@@ -465,18 +457,18 @@ def test_bad_patience_is_rejected_before_it_is_counted(patience):
     sim = Simulator()
     res = Resource(sim, "pool", 1)
     rec = Recorder()
-    s = res.stats
     message = re.escape(f"pool: patience must be >= 0, got {patience}")
 
     def reject(label):
         with pytest.raises(ValueError, match=message):
             res.request(label, 1, patience, rec.on_grant(label), rec.on_renege(label))
-        assert s.request_count == len(s.served_waits) + s.renege_count + res.still_queued_counted()
+        w = res.window_stats()
+        assert w.requests == w.served + w.reneges + w.still_queued
 
     reject("x")
     res.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
     reject("b")
-    assert s.request_count == 1
+    assert res.window_stats().requests == 1
     assert rec.grants == [("a", 0.0)] and rec.reneges == []
     assert res.held_by("x") == res.held_by("b") == 0
     assert not res.queue and not sim._heap
@@ -489,18 +481,18 @@ def test_bad_units_are_rejected_before_they_are_counted(units):
     sim = Simulator()
     res = Resource(sim, "pool", 2)
     rec = Recorder()
-    s = res.stats
     message = re.escape(f"pool: requested units must be a whole number >= 1, got {units}")
 
     def reject(label):
         with pytest.raises(ValueError, match=message):
             res.request(label, units, 5.0, rec.on_grant(label), rec.on_renege(label))
-        assert s.request_count == len(s.served_waits) + s.renege_count + res.still_queued_counted()
+        w = res.window_stats()
+        assert w.requests == w.served + w.reneges + w.still_queued
 
     reject("x")
     res.request("a", 2, 5.0, rec.on_grant("a"), rec.on_renege("a"))
     reject("b")
-    assert s.request_count == 1 and res.busy == 2
+    assert res.window_stats().requests == 1 and res.busy == 2
     assert res.held_by("x") == res.held_by("b") == 0
     assert not res.queue and not sim._heap
     res.release("a")
@@ -533,7 +525,7 @@ def test_one_entity_shares_a_renege_entry_across_pools():
     # their deadline, in request order.
     assert rec.grants[3:] == [("b", 2.0)]
     assert log == [("a", 5.0), ("c", 5.0)]
-    assert [pool.stats.renege_count for pool in pools] == [1, 0, 1]
+    assert [pool.window_stats().reneges for pool in pools] == [1, 0, 1]
     assert all(not pool.queue for pool in pools)
 
 
@@ -553,7 +545,7 @@ def test_equal_deadlines_share_an_entry_only_when_scheduled_back_to_back():
     assert len(sim._heap) == 3
     sim.run_until(10.0)
     assert log == [("x", 5.0), ("y", 5.0), ("between", 5.0), ("z", 5.0)]
-    assert pool.stats.renege_count == 3
+    assert pool.window_stats().reneges == 3
 
 
 def test_request_after_a_fired_entry_gets_its_own():
@@ -573,7 +565,7 @@ def test_request_after_a_fired_entry_gets_its_own():
     sim.run_until(5.0)
     assert log[2:] == [("z", 5.0)]
     assert not pool.queue
-    assert pool.stats.renege_count == 3
+    assert pool.window_stats().reneges == 3
 
 
 def test_request_from_a_firing_entry_gets_its_own():
@@ -610,4 +602,4 @@ def test_entry_whose_requests_were_all_granted_is_not_joined():
     pool.request("y", 1, 5.0, rec.on_grant("y"), _log_renege(log, sim, "y"))
     sim.run_until(10.0)
     assert log == [("y", 5.0)]
-    assert pool.stats.renege_count == 1
+    assert pool.window_stats().reneges == 1

@@ -292,8 +292,8 @@ def test_conservation_after_drain():
     for pool in model.pools:
         assert pool.busy == 0, pool.name
         assert len(pool.queue) == 0, pool.name
-        s = pool.stats
-        assert s.request_count == len(s.served_waits) + s.renege_count, pool.name
+        w = pool.window_stats()
+        assert w.requests == w.served + w.reneges + w.still_queued, pool.name
     # Every recorded served wait obeys the youth's patience.
     assert all(e[3] >= 0.0 for e in trace if e[0] == "bed_grant")
 
