@@ -387,30 +387,55 @@ def test_unsatisfiable_request_is_an_error():
         res.request("a", 0, 5.0, rec.on_grant("a"), rec.on_renege("a"))
 
 
+def test_utilization_fully_held():
+    sim = Simulator()
+    res = Resource(sim, "pool", 1)
+    rec = Recorder()
+    res.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
+    sim.run_until(10.0)
+    assert res.window_stats().utilization == 1.0
+
+
+def test_utilization_half_window_one_of_two_units():
+    sim = Simulator()
+    res = Resource(sim, "pool", 2)
+    rec = Recorder()
+    res.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
+    sim.schedule(5.0, res.release, "a")
+    sim.run_until(10.0)
+    assert res.window_stats().utilization == pytest.approx(0.25)
+
+
+def test_utilization_of_zero_capacity_is_none():
+    sim = Simulator()
+    res = Resource(sim, "pool", 0)
+    sim.run_until(10.0)
+    assert res.window_stats().utilization is None
+
+
+def test_utilization_of_an_empty_window_is_none():
+    sim = Simulator()
+    res = Resource(sim, "pool", 1)
+    sim.run_until(10.0)
+    res.reset_statistics()
+    assert res.window_stats().utilization is None
+
+
 def test_window_stats():
     sim = Simulator()
-    full = Resource(sim, "full", 1)
-    half = Resource(sim, "half", 2)
-    none = Resource(sim, "none", 0)
+    res = Resource(sim, "pool", 1)
     rec = Recorder()
-    # "full" is held for the whole window; "half" has one unit of two held
-    # for half of it.
-    full.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
-    half.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
-    sim.schedule(5.0, half.release, "a")
+    res.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
     sim.run_until(10.0)
-    first = full.window_stats()
+    first = res.window_stats()
     assert first == ResourceWindowStats(requests=1, served=1, reneges=0, still_queued=0,
                                         avg_wait=0.0, max_wait=0.0, utilization=1.0)
     # A second read at the same clock adds nothing to the busy-time integral.
-    assert full.window_stats() == first
-    assert half.window_stats().utilization == pytest.approx(0.25)
-    # Utilization is undefined for a zero-capacity pool and an empty window.
-    assert none.window_stats().utilization is None
-    full.reset_statistics()
-    assert full.window_stats() == ResourceWindowStats(0, 0, 0, 0, None, None, None)
+    assert res.window_stats() == first
+    res.reset_statistics()
+    assert res.window_stats() == ResourceWindowStats(0, 0, 0, 0, None, None, None)
     sim.run_until(12.0)
-    assert full.window_stats().utilization == 1.0
+    assert res.window_stats().utilization == 1.0
 
 
 def test_statistics_reset_discards_warmup_counts():
