@@ -56,6 +56,8 @@ def load_config(path: str | None) -> dict:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {path}"])
+    except OSError as exc:  # a directory, no permission, ...
+        raise ConfigError([f"config file {path} cannot be read: {exc}"])
     except ValueError as exc:  # JSONDecodeError, or an integer over int_max_str_digits
         raise ConfigError([f"config file {path} is not valid JSON: {exc}"])
     if not isinstance(data, dict):
@@ -176,13 +178,12 @@ def _file_sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def write_manifest(args, config: ScenarioConfig) -> str:
+def write_manifest(args, config: ScenarioConfig, swept: dict) -> str:
     """Write the manifest of the command ``args`` beside its ``args.out``.
-    A sweep's manifest also names the swept parameter and its values."""
+    ``swept`` names a sweep's parameter and values, and is empty for any
+    other command."""
     out_path = args.out
     manifest_path = out_path + MANIFEST_SUFFIX
-    swept = ({"parameter": args.param, "values": parse_values(args.values)}
-             if args.command == "sweep" else {})
     manifest = {
         "tool": "sheltersim",
         "version": __version__,
@@ -223,13 +224,14 @@ def print_summary_table(summary: ScenarioSummary, heading: str | None = None) ->
 # -- commands --------------------------------------------------------------------
 
 
-def _run_to_csv(args, config: ScenarioConfig, run, write):
+def _run_to_csv(args, config: ScenarioConfig, run, write, swept: dict):
     """The output sequence of ``simulate`` and ``sweep``: open ``args.out``
     and its manifest path without truncating them (before the run, so an
     unwritable path fails at once), then ``write(fh, run())`` into
-    ``args.out``, then write the manifest. Returns the run's result and the
-    manifest path. If any step fails, every file this call created is
-    removed; an existing file is left as it was unless writing it failed."""
+    ``args.out``, then write the manifest with ``swept`` (see
+    ``write_manifest``). Returns the run's result and the manifest path. If
+    any step fails, every file this call created is removed; an existing
+    file is left as it was unless writing it failed."""
     created = []
     try:
         for path in (args.out, args.out + MANIFEST_SUFFIX):
@@ -243,7 +245,7 @@ def _run_to_csv(args, config: ScenarioConfig, run, write):
         result = run()
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write(fh, result)
-        return result, write_manifest(args, config)
+        return result, write_manifest(args, config, swept)
     except BaseException:
         for path in created:
             os.unlink(path)
@@ -253,7 +255,7 @@ def _run_to_csv(args, config: ScenarioConfig, run, write):
 def cmd_simulate(args) -> int:
     config = resolve_config(args)
     summary, manifest_path = _run_to_csv(
-        args, config, lambda: run_scenario(config, jobs=args.jobs), write_scenario_csv)
+        args, config, lambda: run_scenario(config, jobs=args.jobs), write_scenario_csv, {})
     print_summary_table(summary)
     print(f"Wrote {args.out} and {manifest_path}")
     return EXIT_OK
@@ -264,7 +266,8 @@ def cmd_sweep(args) -> int:
     values = parse_values(args.values)
     results, manifest_path = _run_to_csv(
         args, config, lambda: sweep(config, args.param, values, jobs=args.jobs),
-        lambda fh, results: write_sweep_csv(fh, args.param, results))
+        lambda fh, results: write_sweep_csv(fh, args.param, results),
+        {"parameter": args.param, "values": values})
     for value, summary in results:
         print_summary_table(summary, heading=f"--- {args.param} = {value} ---")
     print(f"Wrote {args.out} and {manifest_path}")

@@ -316,12 +316,15 @@ def run_replication(config: ScenarioConfig, replication: int,
     sim.run_until(config.warmup_days + config.stats_window_days)
     stats = ReplicationStats(replication=replication, **vars(model.counters),
                              resources={p.name: p.window_stats() for p in model.pools})
-    # Pending entries and the arrival feed hold the model's methods, queued
-    # requests hold their timers, and each pool's ledger holds the youths
-    # that hold the pool: emptying them lets reference counting free the
-    # run at once.
+    # Pending entries and the arrival feed hold the model's methods, the
+    # latest renege entry (pending or fired) holds its pool's method and the
+    # requests that joined it, and each pool's ledger holds the youths that
+    # hold the pool: emptying them lets reference counting free the run at
+    # once.
     for entry in sim._heap:
         entry.cancel()
+    if sim._renege_entry is not None:
+        sim._renege_entry.cancel()
     sim.feed((), None)
     for pool in model.pools:
         pool.queue.clear()

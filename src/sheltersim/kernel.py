@@ -47,8 +47,8 @@ class Simulator:
         self.now = 0.0
         self._heap: list[EventHandle] = []
         self._seq = 0
-        # The latest renege entry of any pool while it is pending; queued
-        # requests may join it (see ``Resource.request``).
+        # The latest renege entry of any pool, fired or not; a queued
+        # request may join it (see ``Resource.request``).
         self._renege_entry: EventHandle | None = None
         # The arrival feed: its times, its handler, and the index of the
         # next arrival to fire.
@@ -122,13 +122,14 @@ class Simulator:
 class PendingRequest:
     """A queued multi-unit request with an abandonment deadline.
 
-    ``timer`` is the renege entry the request belongs to; its one argument
-    is the list of the entry's requests that are still queued.
+    ``queued`` holds until the request is granted or reneges. Its renege
+    entry holds it in a join list and, when it fires, reneges it only if it
+    is still queued.
     """
 
     __slots__ = (
         "pool", "entity", "units", "enqueue_time", "on_grant", "on_renege",
-        "timer", "counted",
+        "queued", "counted",
     )
 
     def __init__(self, pool, entity, units, enqueue_time, on_grant, on_renege):
@@ -138,7 +139,7 @@ class PendingRequest:
         self.enqueue_time = enqueue_time
         self.on_grant = on_grant
         self.on_renege = on_renege
-        self.timer: EventHandle | None = None
+        self.queued = True
         self.counted = True
 
 
@@ -272,19 +273,20 @@ class Resource:
             return
         req = PendingRequest(self, entity, units, now, on_grant, on_renege)
         deadline = now + patience
-        # A request due when the entry scheduled just before it fires, while
-        # that entry is a pending renege entry, joins it: no entry can sort
+        # A request due when the renege entry scheduled just before it fires
+        # joins it, if that deadline is later than now: no entry can sort
         # between two consecutive seqs at one time, and an arrival due then
         # fires before both, so the entry reneging its requests in join
-        # order is what one entry each would do. A youth's
-        # service requests, all due at ``now + service_patience``, share one.
+        # order is what one entry each would do. An entry that has fired is
+        # due no later than now, so it is never joined. A youth's service
+        # requests, all due at ``now + service_patience``, share one.
         sim = self.sim
         entry = sim._renege_entry
-        if entry is not None and entry[1] == sim._seq - 1 and entry[0] == deadline:
+        if (entry is not None and entry[1] == sim._seq - 1 and entry[0] == deadline
+                and deadline > now):
             entry[3][0].append(req)
         else:
-            entry = sim._renege_entry = sim.schedule(deadline, self._renege_due, [req])
-        req.timer = entry
+            sim._renege_entry = sim.schedule(deadline, self._renege_due, [req])
         self.queue.append(req)
 
     def release(self, entity) -> None:
@@ -313,13 +315,7 @@ class Resource:
         held = self._held
         while queue and self.busy + queue[0].units <= self.capacity:
             req = queue.popleft()
-            entry = req.timer
-            due = entry[3][0]
-            due.remove(req)
-            if not due:
-                entry.cancel()
-                if self.sim._renege_entry is entry:
-                    self.sim._renege_entry = None
+            req.queued = False
             self.busy += req.units
             entity = req.entity
             held[entity] = held.get(entity, 0) + req.units
@@ -329,20 +325,15 @@ class Resource:
             req.on_grant(entity, self, wait)
 
     def _renege_due(self, due: list[PendingRequest]) -> None:
-        # A renege entry fires: renege its still-queued requests, of any
-        # pool, in join order. The list shrinks as they go, and as callbacks
-        # grant any of them. A fired entry is never empty (the last grant
-        # cancels it), and from now on no request may join it.
-        if self.sim._renege_entry is due[0].timer:
-            self.sim._renege_entry = None
-        while due:
-            req = due.pop(0)
-            req.pool._renege(req)
+        # A renege entry fires: renege its requests, of any pool, in join
+        # order, skipping those granted before their turn, whether before
+        # the entry fired or by a callback it ran. No request joins it now.
+        for req in due:
+            if req.queued:
+                req.pool._renege(req)
 
     def _renege(self, req: PendingRequest) -> None:
-        # The request held its entry, which held the request: dropping the
-        # entry spares the garbage collector a reference cycle per renege.
-        req.timer = None
+        req.queued = False
         self.queue.remove(req)
         if req.counted:
             self.renege_count += 1

@@ -83,6 +83,12 @@ def test_missing_config_file_exits_2_without_outputs(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_unreadable_config_path_exits_2(tmp_path, capsys):
+    # A directory opens with an OSError other than FileNotFoundError.
+    assert run_cli("validate", "--config", str(tmp_path)) == 2
+    assert f"config file {tmp_path} cannot be read: " in capsys.readouterr().err
+
+
 def test_set_override_changes_config(capsys):
     assert run_cli("validate", "--set", "bed_capacity=81") == 0
     printed = json.loads(capsys.readouterr().out)

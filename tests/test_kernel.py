@@ -2,6 +2,7 @@
 execution, multi-unit seize with strict FIFO, deadline reneging, and the
 busy-time integral."""
 
+import math
 import re
 from array import array
 
@@ -613,9 +614,9 @@ def test_request_from_a_firing_entry_gets_its_own():
     assert not pool.queue
 
 
-def test_entry_whose_requests_were_all_granted_is_not_joined():
-    # Every request of the entry is granted, which cancels it; a request due
-    # at the same time right after must still renege.
+def test_request_due_with_an_entry_whose_requests_were_all_granted_reneges():
+    # Every request of x's entry is granted before y, due at the same time
+    # right after, queues; y must renege at 5.0, whether or not it joined.
     sim = Simulator()
     pool = Resource(sim, "pool", 1)
     rec = Recorder()
@@ -628,3 +629,79 @@ def test_entry_whose_requests_were_all_granted_is_not_joined():
     sim.run_until(10.0)
     assert log == [("y", 5.0)]
     assert pool.window_stats().reneges == 1
+
+
+def test_back_to_back_requests_due_now_get_an_entry_each():
+    # A deadline at the clock is never later than now, so even a request
+    # scheduled right after an entry due at its deadline gets its own.
+    sim = Simulator()
+    pool = Resource(sim, "pool", 1)
+    rec = Recorder()
+    log = []
+    pool.request("holder", 1, 1.0, rec.on_grant("holder"), rec.on_renege("holder"))
+    pool.request("x", 1, 0.0, rec.on_grant("x"), _log_renege(log, sim, "x"))
+    pool.request("y", 1, 0.0, rec.on_grant("y"), _log_renege(log, sim, "y"))
+    assert len(sim._heap) == 2
+    sim.run_until(0.0)
+    assert log == [("x", 0.0), ("y", 0.0)]
+    assert not pool.queue
+
+
+# A step of a pool script: the clock advances by ``dt`` and then a list of
+# operations runs. ``("request", pool, entity, units, patience, retry)``
+# queues again with patience ``retry`` on a renege unless it is None;
+# ``("release", pool, entity)`` applies only to an entity holding units;
+# ``("mark", delay)`` schedules a log entry ``delay`` days ahead.
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_PATIENCE = st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf])
+_OPERATION = st.one_of(
+    st.tuples(st.just("request"), st.integers(0, 2), st.integers(0, 4),
+              st.integers(1, 3), _PATIENCE, st.none() | _PATIENCE),
+    st.tuples(st.just("release"), st.integers(0, 2), st.integers(0, 4)),
+    st.tuples(st.just("mark"), _TIMES),
+)
+
+
+def _run_pool_script(capacities, steps, separate_entries):
+    # With ``separate_entries`` no request may join the previous renege
+    # entry, so every queued request gets an entry of its own.
+    sim = Simulator()
+    pools = [Resource(sim, f"p{i}", capacity) for i, capacity in enumerate(capacities)]
+    log = []
+
+    def request(pool, entity, units, patience, retry):
+        units = min(units, pool.capacity)
+
+        def on_grant(entity, pool, wait):
+            log.append(("grant", pool.name, entity, sim.now, wait))
+
+        def on_renege(entity, pool):
+            log.append(("renege", pool.name, entity, sim.now))
+            if retry is not None:
+                request(pool, entity, units, retry, None)
+
+        if separate_entries:
+            sim._renege_entry = None
+        pool.request(entity, units, patience, on_grant, on_renege)
+
+    for dt, operations in steps:
+        sim.run_until(sim.now + dt)
+        for op, *args in operations:
+            if op == "mark":
+                sim.schedule(sim.now + args[0], log.append, ("mark", sim.now + args[0]))
+                continue
+            pool = pools[args[0] % len(pools)]
+            if op == "request":
+                request(pool, *args[1:])
+            elif pool.held_by(args[1]):
+                pool.release(args[1])
+    sim.run_until(sim.now + 5.0)
+    return log, [pool.window_stats() for pool in pools]
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacities=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+       steps=st.lists(st.tuples(_TIMES, st.lists(_OPERATION, max_size=6)), max_size=12))
+def test_shared_renege_entries_act_as_one_entry_per_request(capacities, steps):
+    assert (_run_pool_script(capacities, steps, separate_entries=False)
+            == _run_pool_script(capacities, steps, separate_entries=True))
