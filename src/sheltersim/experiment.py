@@ -11,8 +11,8 @@ Sweeps rerun the same scenario with one capacity changed and the master seed
 fixed, so arrival epochs and youth attributes are identical across swept
 values and only contention differs. A sweep validates every swept config
 first, then runs all (value, replication) pairs as one grid, replication
-by replication, on a single worker pool. Each process keeps the last
-population it drew, so the values of one replication share a single draw.
+by replication, on a single worker pool that keeps each replication in one
+process where it can, so the values of one replication share a single draw.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from .model import (
     Population,
     ServiceSpec,
     ShelterModel,
+    _type_errors,
     default_services,
     draw_population,
-    nonfinite_errors,
 )
 from .stats import estimate
 from .streams import RngStream
@@ -102,10 +102,10 @@ class ScenarioConfig:
     master_seed: int = 20240501
 
     def validation_errors(self) -> list[str]:
-        errors = nonfinite_errors(self)
+        errors = _type_errors(self)
         if errors:
             return errors
-        if self.bed_capacity < 0 or int(self.bed_capacity) != self.bed_capacity:
+        if self.bed_capacity < 0:
             errors.append("bed_capacity: must be a non-negative integer")
         elif self.bed_capacity > MAX_CAPACITY_UNITS:
             errors.append(f"bed_capacity: must be at most {MAX_CAPACITY_UNITS:,}")
@@ -267,28 +267,22 @@ def build_streams(master_seed: int, replication: int) -> dict[str, RngStream]:
     return {name: RngStream(master_seed, replication, name) for name in STREAM_NAMES}
 
 
-# The last population drawn in this process, under its ``_population_key``.
+# The last population drawn in this process, under the key it was drawn for.
 _population_cache: tuple[tuple, Population] | None = None
-
-
-def _population_key(config: ScenarioConfig, replication: int) -> tuple:
-    """What a replication's population depends on: the config with every
-    capacity blanked, and the replication index."""
-    blank = replace(config, bed_capacity=0, services=tuple(
-        replace(s, capacity_units=0) for s in config.services))
-    return blank, replication
 
 
 def replication_population(config: ScenarioConfig, replication: int,
                            streams: dict[str, RngStream]) -> Population:
     """The replication's arrivals and youth attributes up to the horizon.
 
-    Draws from ``streams`` unless this process drew the same key last; a
-    sweep's values differ only in capacities, so consecutive runs of one
-    replication share a single draw.
+    Draws from ``streams`` unless this process drew the same key last: the
+    config with every capacity blanked, and the replication index. A sweep's
+    values differ only in capacities, so consecutive runs of one replication
+    share a single draw.
     """
     global _population_cache
-    key = _population_key(config, replication)
+    key = replace(config, bed_capacity=0, services=tuple(
+        replace(s, capacity_units=0) for s in config.services)), replication
     if _population_cache is None or _population_cache[0] != key:
         _population_cache = key, draw_population(
             list(config.services), config.annual_arrivals, config.bsy_fraction,
@@ -316,15 +310,13 @@ def run_replication(config: ScenarioConfig, replication: int,
     sim.run_until(config.warmup_days + config.stats_window_days)
     stats = ReplicationStats(replication=replication, **vars(model.counters),
                              resources={p.name: p.window_stats() for p in model.pools})
-    # Pending entries and the arrival feed hold the model's methods, the
+    # The calendar and the arrival feed hold the model's methods, the
     # latest renege entry (pending or fired) holds its pool's method and the
     # requests that joined it, and each pool's ledger holds the youths that
     # hold the pool: emptying them lets reference counting free the run at
     # once.
-    for entry in sim._heap:
-        entry.cancel()
-    if sim._renege_entry is not None:
-        sim._renege_entry.cancel()
+    sim._heap.clear()
+    sim._renege_entry = None
     sim.feed((), None)
     for pool in model.pools:
         pool.queue.clear()
@@ -371,19 +363,23 @@ def _run_grid(configs: list[ScenarioConfig], jobs: int) -> list[list[Replication
     The configs share their replication count. Pairs run replication-major,
     so in one process the configs of a replication follow each other and
     share its population. With ``jobs > 1`` all pairs go to one pool of
-    ``worker_count(jobs, pairs, available_cpus())`` workers in about four
-    chunks per worker; a replication split between two chunks is drawn in
-    each process that runs part of it.
+    ``worker_count(jobs, pairs, available_cpus())`` workers in chunks of
+    whole replications, about four per worker, so each replication's
+    population is drawn once per grid. With fewer replications than workers,
+    chunks split replications instead, so that no worker idles.
     """
     width = len(configs)
-    grid_configs = configs * configs[0].replications
-    grid_reps = [rep for rep in range(configs[0].replications) for _ in configs]
-    workers = worker_count(jobs, len(grid_reps), available_cpus())
+    reps = configs[0].replications
+    grid_configs = configs * reps
+    grid_reps = [rep for rep in range(reps) for _ in configs]
+    pairs = len(grid_reps)
+    workers = worker_count(jobs, pairs, available_cpus())
     if workers > 1:
+        chunksize = min(width * max(1, reps // (4 * workers)), -(-pairs // workers))
         executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
         with executor(max_workers=workers) as pool:
             stats = list(pool.map(run_replication, grid_configs, grid_reps,
-                                  chunksize=max(1, len(grid_reps) // (4 * workers))))
+                                  chunksize=chunksize))
     else:
         stats = list(map(run_replication, grid_configs, grid_reps))
     return [stats[i::width] for i in range(width)]
@@ -431,7 +427,7 @@ def sweep(config: ScenarioConfig, parameter: str, values: list[int],
     The pair count is checked against ``MAX_GRID_PAIRS``, repeats rejected
     and every swept config validated before anything runs; then all (value,
     replication) pairs run as one grid (see ``_run_grid``), and each
-    replication's population is drawn once per process, not once per value.
+    replication's population is drawn once per sweep, not once per value.
     """
     if not values:
         raise ConfigError(["values: must be non-empty"])

@@ -294,24 +294,22 @@ class Resource:
         units = self._held.pop(entity, 0)
         if not units:
             raise ValueError(f"{self.name}: entity {entity} holds no units")
-        now = self.sim.now
-        if now > self._last_ts:
-            self.busy_time_integral += self.busy * (now - self._last_ts)
-            self._last_ts = now
-        self.busy = busy = self.busy - units
-        queue = self.queue
-        if queue and busy + queue[0].units <= self.capacity:
-            self._dispatch()
+        self._advance_integral()
+        self.busy -= units
+        self._dispatch()
 
     def _dispatch(self) -> None:
-        # Called when the queue head fits: grant from the head while it fits;
-        # never look past a blocked head. The clock stands still through the
-        # grants, so one advance of the integral covers them all. A grant
-        # callback may re-enter this pool (request, release, reset), so busy
-        # and the counters are read afresh.
+        # Grant from the queue head while it fits; never look past a blocked
+        # head. The integral advances only once the head fits, since where it
+        # is split moves its float rounding. The clock stands still through
+        # the grants, so one advance covers them all. A grant callback may
+        # re-enter this pool (request, release, reset), so busy and the
+        # counters are read afresh.
+        queue = self.queue
+        if not (queue and self.busy + queue[0].units <= self.capacity):
+            return
         self._advance_integral()
         now = self.sim.now
-        queue = self.queue
         held = self._held
         while queue and self.busy + queue[0].units <= self.capacity:
             req = queue.popleft()
@@ -339,6 +337,4 @@ class Resource:
             self.renege_count += 1
         req.on_renege(req.entity, self)
         # Removing a blocked head can unblock smaller requests behind it.
-        queue = self.queue
-        if queue and self.busy + queue[0].units <= self.capacity:
-            self._dispatch()
+        self._dispatch()

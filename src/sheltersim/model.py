@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -63,12 +64,12 @@ class ServiceSpec:
     appt_max: int = 1
 
     def validation_errors(self, path: str = "") -> list[str]:
-        errors = nonfinite_errors(self, path)
+        errors = _type_errors(self, path)
         if errors:
             return errors
         if not self.name:
             errors.append(f"{path}name: must be non-empty")
-        if self.capacity_units < 0 or int(self.capacity_units) != self.capacity_units:
+        if self.capacity_units < 0:
             errors.append(f"{path}capacity_units: must be a non-negative integer")
         elif self.capacity_units > MAX_CAPACITY_UNITS:
             errors.append(f"{path}capacity_units: must be at most {MAX_CAPACITY_UNITS:,}")
@@ -86,13 +87,19 @@ class ServiceSpec:
         return errors
 
 
-def nonfinite_errors(spec, path: str = "") -> list[str]:
-    """One message per float field of a dataclass that holds NaN or an
-    infinity. Later range checks can then assume finite numbers."""
-    return [f"{path}{f.name}: must be a finite number, got {value}"
-            for f in fields(spec)
-            if isinstance(value := getattr(spec, f.name), float)
-            and not math.isfinite(value)]
+def _type_errors(spec, path: str = "") -> list[str]:
+    """One message per field of a dataclass whose value its declared type
+    rules out: NaN or an infinity anywhere, and anything but an ``int`` (a
+    bool included) in an int field, as ``experiment._coerce`` rules for JSON.
+    Later range checks can then assume finite numbers of the declared type."""
+    errors = []
+    for name, kind in get_type_hints(type(spec)).items():
+        value = getattr(spec, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            errors.append(f"{path}{name}: must be a finite number, got {value}")
+        elif kind is int and type(value) is not int:
+            errors.append(f"{path}{name}: must be an integer, got {value!r}")
+    return errors
 
 
 def default_services() -> list[ServiceSpec]:

@@ -390,13 +390,28 @@ def _modules_after_serial_simulate(tmp_path) -> list[str]:
         "assert code == 0, code\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = _run_python("-c", script)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter with ``args``, run from the checkout root with
+    its ``src`` first on the import path."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "--config", "configs/baseline.json"], 0),
+    (["validate", "--set", "bed_capacity=x"], 2),
+])
+def test_python_m_sheltersim_exits_with_the_cli_code(argv, code):
+    done = _run_python("-m", "sheltersim", *argv)
+    assert done.returncode == code, done.stderr
 
 
 def test_cli_run_never_imports_scipy(tmp_path):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from sheltersim import experiment
 from sheltersim.experiment import (
     FLOW_LABELS,
     MAX_CAPACITY_UNITS,
@@ -301,6 +302,49 @@ def test_parallel_jobs_match_serial():
     assert run_scenario(cfg, jobs=2) == run_scenario(cfg, jobs=1)
 
 
+@pytest.mark.parametrize("reps, chunksize", [(2, 3), (1, 2)])
+def test_grid_chunks_hold_whole_replications(monkeypatch, reps, chunksize):
+    # A worker keeps the population it drew last, so chunks of whole
+    # replications draw each replication once per grid; with fewer
+    # replications than workers a replication is split, so that both workers
+    # get a chunk. The fake pool runs each chunk as if in a fresh process.
+    chunksizes, drawn = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            chunksizes.append(chunksize)
+            pairs = list(zip(*iterables))
+            for start in range(0, len(pairs), chunksize):
+                experiment._population_cache = None
+                yield from (fn(*pair) for pair in pairs[start:start + chunksize])
+
+    draw_population = experiment.draw_population
+
+    def counted_draw(*args):
+        drawn.append(args)
+        return draw_population(*args)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment, "available_cpus", lambda: 2)
+    monkeypatch.setattr(experiment, "draw_population", counted_draw)
+    monkeypatch.setattr(experiment, "_population_cache", None)
+    configs = [mini_config(bed_capacity=capacity, replications=reps)
+               for capacity in (6, 8, 10)]
+    grid = experiment._run_grid(configs, jobs=2)
+    assert chunksizes == [chunksize]
+    assert len(drawn) == 2
+    assert grid == [[run_replication(cfg, rep) for rep in range(reps)] for cfg in configs]
+
+
 def test_worker_count_is_bounded_by_tasks_and_cpus():
     assert worker_count(1, 100, 8) == 1
     assert worker_count(4, 100, 8) == 4
@@ -382,6 +426,22 @@ def test_service_rejects_non_finite_numbers():
     errors = ScenarioConfig(services=tuple(services)).validation_errors()
     assert errors == ["services[1].capacity_units: must be a finite number, got nan",
                       "services[1].request_prob: must be a finite number, got inf"]
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, True, "2"])
+@pytest.mark.parametrize("name", ["bed_capacity", "replications", "master_seed",
+                                  "capacity_units", "appt_min", "appt_max"])
+def test_int_fields_built_in_python_must_hold_ints(name, value):
+    # A config built in Python skips the JSON coercion: a float in an int
+    # field would run truncated, under a digest of its own, or fail mid-run.
+    config = ScenarioConfig()
+    if name in ("capacity_units", "appt_min", "appt_max"):
+        services = list(config.services)
+        services[0] = replace(services[0], **{name: value})
+        config, path = replace(config, services=tuple(services)), f"services[0].{name}"
+    else:
+        config, path = replace(config, **{name: value}), name
+    assert config.validation_errors() == [f"{path}: must be an integer, got {value!r}"]
 
 
 def test_config_rejects_non_integer_capacity():
