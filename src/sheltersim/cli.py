@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -26,6 +26,7 @@ from .experiment import (
     ScenarioConfig,
     ScenarioSummary,
     run_scenario,
+    set_field,
     sweep,
 )
 
@@ -66,78 +67,54 @@ def load_config(path: str | None) -> dict:
 
 
 def apply_set(data: dict, assignment: str) -> None:
-    """Apply one ``--set key=value`` override to the config dict.
-
-    Keys are dotted paths; a path segment under ``services`` selects the
-    service with that name. Values parse as JSON, falling back to strings.
-    """
-    if "=" not in assignment:
-        raise ConfigError([f"--set {assignment!r}: expected key=value"])
-    key, raw = assignment.split("=", 1)
+    """Apply one ``--set key=value`` override to the config dict: ``key`` as
+    ``set_field`` takes it, the value parsed as JSON, falling back to a
+    string."""
+    key, equals, raw = assignment.partition("=")
     key = key.strip()
-    if not key:
-        raise ConfigError([f"--set {assignment!r}: empty key"])
+    if not equals or not key:
+        raise ConfigError([f"--set {assignment!r}: expected key=value with a non-empty key"])
     try:
         value = json.loads(raw)
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
         value = raw
-    parts = key.split(".")
-    node = data
-    for part in parts[:-1]:
-        if isinstance(node, dict):
-            if part not in node:
-                raise ConfigError([f"{key}: no such field {part!r}"])
-            node = node[part]
-        elif isinstance(node, list):
-            match = next((item for item in node
-                          if isinstance(item, dict) and item.get("name") == part), None)
-            if match is None:
-                raise ConfigError([f"{key}: no service named {part!r}"])
-            node = match
-        else:
-            raise ConfigError([f"{key}: cannot descend into {part!r}"])
-    leaf = parts[-1]
-    if not isinstance(node, dict):
-        raise ConfigError([f"{key}: cannot assign into a non-object"])
-    node[leaf] = value
+    set_field(data, key, value)
 
 
 def resolve_config(args) -> ScenarioConfig:
     data = load_config(args.config)
     for assignment in args.set or []:
         apply_set(data, assignment)
+    for key, flag in (("master_seed", "seed"), ("replications", "reps")):
+        if getattr(args, flag, None) is not None:
+            set_field(data, key, getattr(args, flag))
     config = ScenarioConfig.from_dict(data)
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, master_seed=args.seed)
-    if getattr(args, "reps", None) is not None:
-        config = replace(config, replications=args.reps)
     config.validate()
     return config
 
 
-def parse_values(text: str) -> list[int]:
-    """Parse sweep values: ``start:stop:step`` (inclusive) or a comma list."""
+def parse_values(text: str) -> list[float]:
+    """Parse sweep values: an integer ``start:stop:step`` range (inclusive),
+    or a comma list of JSON numbers."""
     text = text.strip()
     if not text:
         raise ConfigError(["--values: must not be empty"])
     try:
         if ":" in text:
             parts = [int(p) for p in text.split(":")]
-            if len(parts) == 2:
-                start, stop, step = parts[0], parts[1], 1
-            elif len(parts) == 3:
-                start, stop, step = parts
-            else:
-                raise ValueError
+            start, stop, step = parts if len(parts) == 3 else (*parts, 1)  # too many: ValueError
             if step <= 0 or stop < start:
                 raise ValueError
             values = range(start, stop + 1, step)
             count = (stop - start) // step + 1  # len() overflows past sys.maxsize
         else:
-            values = [int(p) for p in text.split(",")]
+            values = [json.loads(p) for p in text.split(",")]
+            if not all(type(v) in (int, float) for v in values):
+                raise ValueError
             count = len(values)
-    except ValueError:
-        raise ConfigError([f"--values {text!r}: expected start:stop:step or a comma list of integers"])
+    except (ValueError, RecursionError):
+        raise ConfigError([f"--values {text!r}: expected an integer start:stop:step "
+                           f"or a comma list of numbers"])
     if count > MAX_GRID_PAIRS:
         raise ConfigError([f"--values {text!r}: {count:,} values, above the limit of "
                            f"{MAX_GRID_PAIRS:,} (value, replication) pairs"])
@@ -165,7 +142,7 @@ def write_scenario_csv(fh, summary: ScenarioSummary) -> None:
     writer.writerows(_rows(summary))
 
 
-def write_sweep_csv(fh, parameter: str, results: list[tuple[int, ScenarioSummary]]) -> None:
+def write_sweep_csv(fh, parameter: str, results: list[tuple[float, ScenarioSummary]]) -> None:
     writer = csv.DictWriter(fh, fieldnames=(parameter,) + RESOURCE_COLUMNS,
                             lineterminator="\n")
     writer.writeheader()
@@ -305,12 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim, with_out=True)
     p_sim.set_defaults(fn=cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="run a one-parameter capacity sweep")
+    p_sweep = sub.add_parser("sweep", help="run a one-parameter sweep")
     add_common(p_sweep, with_out=True)
-    p_sweep.add_argument("--param", required=True,
-                         help="bed_capacity or service:<name>")
+    p_sweep.add_argument("--param", required=True, metavar="KEY",
+                         help="a --set key, e.g. bed_capacity; service:<name> "
+                              "spells services.<name>.capacity_units")
     p_sweep.add_argument("--values", required=True,
-                         help="start:stop:step (inclusive) or comma list")
+                         help="integer start:stop:step (inclusive) or comma list of numbers")
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="check a config and print it resolved")

@@ -7,12 +7,13 @@ runs warm-up plus one statistics window, and reports window statistics.
 Its arrivals and youth attributes are drawn up front into a population
 (``model.Population``) that depends on neither capacity nor contention.
 
-Sweeps rerun the same scenario with one capacity changed and the master seed
-fixed, so arrival epochs and youth attributes are identical across swept
-values and only contention differs. A sweep validates every swept config
-first, then runs all (value, replication) pairs as one grid, replication
-by replication, on a single worker pool that keeps each replication in one
-process where it can, so the values of one replication share a single draw.
+Sweeps rerun the same scenario with one config field changed and the master
+seed fixed; when the field is a capacity, arrival epochs and youth attributes
+are identical across swept values and only contention differs. A sweep
+validates every swept config first, then runs all (value, replication) pairs
+as one grid, replication by replication, on a single worker pool that keeps
+each replication in one process where it can, so the values of one
+replication in a capacity sweep share a single draw.
 """
 
 from __future__ import annotations
@@ -175,6 +176,33 @@ class ScenarioConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def set_field(data: dict, key: str, value) -> None:
+    """Set the field that the dotted ``key`` names in the config JSON
+    ``data`` to ``value``; the one way a config field is addressed by name.
+    A segment under ``services`` selects the service of that name, and
+    ``service:<name>`` spells ``services.<name>.capacity_units``. Only the
+    path is checked here; ``ScenarioConfig.from_dict`` checks the value."""
+    if key.startswith("service:"):
+        key = f"services.{key.removeprefix('service:')}.capacity_units"
+    parts = key.split(".")
+    node = data
+    for depth, part in enumerate(parts, 1):
+        if isinstance(node, list):
+            node = next((item for item in node
+                         if isinstance(item, dict) and item.get("name") == part), None)
+            if node is None:
+                raise ConfigError([f"{key}: no service named {part!r}"])
+        elif isinstance(node, dict) and depth == len(parts):
+            node[part] = value
+            return
+        elif isinstance(node, dict) and part in node:
+            node = node[part]
+        else:
+            raise ConfigError([f"{key}: no such field {part!r}"])
+    raise ConfigError([f"{key}: names a service; set one of its fields, "
+                       f"e.g. {key}.capacity_units"])
+
+
 def _from_object(cls, data, path: str, errors: list[str]):
     """Build the dataclass ``cls`` from a JSON object whose keys name its
     fields, coercing each value by the field's declared type. Messages go to
@@ -276,9 +304,9 @@ def replication_population(config: ScenarioConfig, replication: int,
     """The replication's arrivals and youth attributes up to the horizon.
 
     Draws from ``streams`` unless this process drew the same key last: the
-    config with every capacity blanked, and the replication index. A sweep's
-    values differ only in capacities, so consecutive runs of one replication
-    share a single draw.
+    config with every capacity blanked, and the replication index. The values
+    of a capacity sweep differ only in capacities, so consecutive runs of one
+    replication share a single draw.
     """
     global _population_cache
     key = replace(config, bed_capacity=0, services=tuple(
@@ -396,41 +424,25 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioSummary:
     return summarize(_run_grid([config], jobs)[0])
 
 
-def apply_parameter(config: ScenarioConfig, parameter: str, value: int) -> ScenarioConfig:
-    """Return a copy of the config with one swept capacity replaced.
-
-    ``parameter`` is either ``bed_capacity`` or ``service:<name>``.
-    """
-    if parameter == "bed_capacity":
-        return replace(config, bed_capacity=int(value))
-    if parameter.startswith("service:"):
-        target = parameter.split(":", 1)[1]
-        names = [s.name for s in config.services]
-        if target not in names:
-            raise ConfigError([
-                f"unknown service {target!r}; expected one of {', '.join(names)}"])
-        services = tuple(
-            replace(s, capacity_units=int(value)) if s.name == target else s
-            for s in config.services
-        )
-        return replace(config, services=services)
-    raise ConfigError([
-        f"unknown sweep parameter {parameter!r}; expected bed_capacity or service:<name>"])
-
-
-def sweep(config: ScenarioConfig, parameter: str, values: list[int],
-          jobs: int = 1) -> list[tuple[int, ScenarioSummary]]:
-    """Run one scenario per value, all else fixed, same master seed.
+def sweep(config: ScenarioConfig, parameter: str, values: list[float],
+          jobs: int = 1) -> list[tuple[float, ScenarioSummary]]:
+    """Run one scenario per value of the field ``parameter`` (a key as
+    ``set_field`` takes it), all else fixed, same master seed.
 
     Sharing the seed couples the scenarios through common random numbers:
-    identical arrivals and youth attributes, different contention only.
-    The pair count is checked against ``MAX_GRID_PAIRS``, repeats rejected
-    and every swept config validated before anything runs; then all (value,
-    replication) pairs run as one grid (see ``_run_grid``), and each
-    replication's population is drawn once per sweep, not once per value.
+    a capacity sweep gives every value identical arrivals and youth
+    attributes, so only contention differs. The pair count is checked
+    against ``MAX_GRID_PAIRS``, repeats rejected and every swept config
+    built (``set_field``, then ``ScenarioConfig.from_dict``) and validated
+    before anything runs; then all (value, replication) pairs run as one
+    grid (see ``_run_grid``), and a capacity sweep draws each replication's
+    population once, not once per value.
     """
     if not values:
         raise ConfigError(["values: must be non-empty"])
+    if parameter == "replications":
+        raise ConfigError(["replications: cannot be swept; every value runs the "
+                           "config's replication count"])
     pairs = len(values) * config.replications
     if pairs > MAX_GRID_PAIRS:
         raise ConfigError([f"values x replications: {pairs:,} (value, replication) "
@@ -438,9 +450,14 @@ def sweep(config: ScenarioConfig, parameter: str, values: list[int],
     repeated = [value for value, count in Counter(values).items() if count > 1]
     if repeated:
         raise ConfigError([f"values: {value} is repeated" for value in repeated])
-    swept = [apply_parameter(config, parameter, value) for value in values]
-    errors = [f"{parameter}={value}: {error}"
-              for value, cfg in zip(values, swept) for error in cfg.validation_errors()]
+    data, swept, errors = config.to_dict(), [], []
+    for value in values:
+        set_field(data, parameter, value)
+        try:
+            swept.append(ScenarioConfig.from_dict(data))
+            swept[-1].validate()
+        except ConfigError as exc:
+            errors.extend(f"{parameter}={value}: {error}" for error in exc.errors)
     if errors:
         raise ConfigError(errors)
     grid = _run_grid(swept, jobs)

@@ -113,6 +113,12 @@ def test_unknown_set_path_exits_2(capsys):
     assert run_cli("validate", "--set", "services.yoga.capacity_units=3") == 2
 
 
+def test_set_value_nested_too_deep_is_a_string(capsys):
+    # Too deep for the JSON parser, so the value stays text: a config error.
+    assert run_cli("validate", "--set", "bed_capacity=" + "[" * 100_000) == 2
+    assert "config error: bed_capacity: must be a number" in capsys.readouterr().err
+
+
 def test_simulate_writes_csv_and_manifest(tmp_path, capsys):
     out = tmp_path / "results.csv"
     code = run_cli("simulate", "--out", str(out), "--seed", "9", *FAST_OVERRIDES)
@@ -191,6 +197,65 @@ def test_sweep_service_parameter(tmp_path):
     assert (manifest["parameter"], manifest["values"]) == ("service:psychiatric", [56, 72])
 
 
+def test_service_alias_sweeps_the_same_rows_as_its_key(tmp_path):
+    # ``service:<name>`` spells ``services.<name>.capacity_units``; the CSV's
+    # first column is headed by the --param text as given.
+    lines = {}
+    for param in ("service:psychiatric", "services.psychiatric.capacity_units"):
+        out = tmp_path / f"{param}.csv"
+        assert run_cli("sweep", "--param", param, "--values", "56,72",
+                       "--out", str(out), *FAST_OVERRIDES) == 0
+        header, *lines[param] = out.read_text().splitlines()
+        assert header.split(",", 1)[0] == param
+    assert lines["service:psychiatric"] == lines["services.psychiatric.capacity_units"]
+
+
+def test_float_sweep_writes_float_values(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--param", "age_16_20_fraction", "--values", "0.85,0.92",
+                   "--out", str(out), *FAST_OVERRIDES) == 0
+    with open(out, newline="") as fh:
+        assert {row["age_16_20_fraction"] for row in csv.DictReader(fh)} == {"0.85", "0.92"}
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert (manifest["parameter"], manifest["values"]) == ("age_16_20_fraction", [0.85, 0.92])
+
+
+def test_swept_value_fails_as_its_set_does(tmp_path, capsys):
+    # A swept value is checked as --set checks it, behind the sweep's prefix.
+    assert run_cli("validate", "--set", "age_16_20_fraction=1.5") == 2
+    set_error = capsys.readouterr().err
+    assert set_error.startswith("config error: ")
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--param", "age_16_20_fraction", "--values", "1.5",
+                   "--out", str(out), *FAST_OVERRIDES) == 2
+    assert capsys.readouterr().err == set_error.replace(
+        "config error: ", "config error: age_16_20_fraction=1.5: ", 1)
+    assert not out.exists()
+
+
+def test_replications_cannot_be_swept(tmp_path, capsys):
+    # Every value of a sweep runs the config's replication count.
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--param", "replications", "--values", "2,3",
+                   "--out", str(out), *FAST_OVERRIDES) == 2
+    assert "config error: replications: cannot be swept" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--set", "services.psychiatric=5"],
+    ["sweep", "--param", "services.psychiatric", "--values", "5", *FAST_OVERRIDES],
+])
+def test_a_key_naming_a_service_asks_for_one_of_its_fields(tmp_path, monkeypatch,
+                                                          capsys, argv):
+    monkeypatch.chdir(tmp_path)  # where the sweep's default --out would go
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: services.psychiatric: names a service; set one of its fields, "
+        "e.g. services.psychiatric.capacity_units\n")
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_one_value_sweep_csv_is_the_simulate_csv_with_a_value_column(tmp_path):
     # Both writers take their rows from one builder, so the same scenario
     # gives the same rows, the sweep's behind the swept value.
@@ -246,6 +311,11 @@ def test_parse_values_forms():
     assert parse_values("3:5") == [3, 4, 5]
     assert parse_values("7") == [7]
     assert parse_values("1,5,9") == [1, 5, 9]
+    # A comma list holds JSON numbers, as --set reads them; a range holds integers.
+    assert parse_values("0.85, 0.92,1e2") == [0.85, 0.92, 100.0]
+    for text in ("[1]", "true", "x", "1,null", "0.5:2", "[" * 100_000):
+        with pytest.raises(ConfigError, match="expected an integer start:stop:step"):
+            parse_values(text)
     with pytest.raises(ConfigError):
         parse_values("5:1:1")
     with pytest.raises(ConfigError):
@@ -268,7 +338,7 @@ def test_parse_values_accepts_or_rejects_cleanly(text):
     except ConfigError:
         return
     assert 1 <= len(values) <= MAX_GRID_PAIRS
-    assert all(isinstance(v, int) for v in values)
+    assert all(type(v) in (int, float) for v in values)
 
 
 DEFAULTS = load_config(None)

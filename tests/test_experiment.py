@@ -18,11 +18,11 @@ from sheltersim.experiment import (
     MAX_GRID_PAIRS,
     ConfigError,
     ScenarioConfig,
-    apply_parameter,
     build_streams,
     replication_population,
     run_replication,
     run_scenario,
+    set_field,
     summarize,
     sweep,
     worker_count,
@@ -199,7 +199,7 @@ def test_long_warmup_agrees_with_one_year():
 
 def test_crn_arrival_logs_identical_across_capacities():
     low = mini_config(replications=2)
-    high = apply_parameter(low, "bed_capacity", 12)
+    high = replace(low, bed_capacity=12)
     for rep in range(2):
         trace_low: list = []
         run_replication(low, rep, trace_low)
@@ -250,23 +250,49 @@ def test_sweep_rejects_bad_input():
 
 
 def test_sweep_sets_service_capacity():
+    # ``service:<name>`` is another spelling of the service's capacity key.
     cfg = mini_config()
-    swept = apply_parameter(cfg, "service:psychiatric", 44)
-    by_name = {s.name: s for s in swept.services}
+    swept = []
+    for key in ("service:psychiatric", "services.psychiatric.capacity_units"):
+        data = cfg.to_dict()
+        set_field(data, key, 44)
+        swept.append(ScenarioConfig.from_dict(data))
+    assert swept[0] == swept[1]
+    by_name = {s.name: s for s in swept[0].services}
     assert by_name["psychiatric"].capacity_units == 44
     assert by_name["medical"] == {s.name: s for s in cfg.services}["medical"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_grid_matches_per_value_scenarios(jobs):
+    # A capacity, whose values share each replication's population, and a
+    # float field that is no capacity, whose values each draw their own.
     cfg = mini_config(replications=3)
-    values = [6, 8, 10]
-    swept = sweep(cfg, "bed_capacity", values, jobs=jobs)
-    assert [value for value, _ in swept] == values
-    for value, summary in swept:
-        direct = run_scenario(apply_parameter(cfg, "bed_capacity", value))
-        assert summary.replications == direct.replications
-        assert summary == direct
+    for parameter, values in (("bed_capacity", [6, 8, 10]),
+                              ("age_16_20_fraction", [0.5, 0.85])):
+        swept = sweep(cfg, parameter, values, jobs=jobs)
+        assert [value for value, _ in swept] == values
+        for value, summary in swept:
+            direct = run_scenario(replace(cfg, **{parameter: value}))
+            assert summary.replications == direct.replications
+            assert summary == direct
+
+
+@pytest.mark.parametrize("parameter, service, values", [
+    ("services.psychiatric.capacity_units", "psychiatric", [4, 7, 30]),
+    ("service:case_management", "case_management", [4, 50, 200]),
+])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_bed_pool_does_not_depend_on_service_pools(parameter, service, values, jobs):
+    # A bed holder leaves at exactly arrival + stay: a bed stay is at least
+    # 30 days, and bed plus service patience at most 21. So a sweep of a
+    # service capacity leaves every replication's bed record as it was.
+    swept = [summary.replications for _, summary in sweep(mini_config(), parameter, values,
+                                                          jobs=jobs)]
+    beds = [[r.resources[BED_RESOURCE] for r in reps] for reps in swept]
+    assert beds[1:] == beds[:1] * (len(values) - 1)
+    # The swept pool itself does change.
+    assert swept[0][0].resources[service] != swept[-1][0].resources[service]
 
 
 def test_population_is_shared_only_across_capacities():
@@ -276,8 +302,10 @@ def test_population_is_shared_only_across_capacities():
         return replication_population(config, rep, build_streams(config.master_seed, rep))
 
     first = population(cfg)
-    assert population(apply_parameter(cfg, "bed_capacity", 12)) is first
-    assert population(apply_parameter(cfg, "service:psychiatric", 9)) is first
+    services = list(cfg.services)
+    assert population(replace(cfg, bed_capacity=12)) is first
+    services[3] = replace(services[3], capacity_units=9)
+    assert population(replace(cfg, services=tuple(services))) is first
     services = list(cfg.services)
     services[3] = replace(services[3], request_prob=0.6)
     changed = [

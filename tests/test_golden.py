@@ -1,5 +1,5 @@
-"""Golden digests: pin the bytes of a small fixed-seed simulate CSV and sweep
-CSV, the full summary and printed tables behind them, the statistics and event traces of full-size replications, the drawn
+"""Golden digests: pin the bytes of a small fixed-seed simulate CSV and two
+sweep CSVs (a capacity and a float field), the full summary and printed tables behind them, the statistics and event traces of full-size replications, the drawn
 populations of two replications, and the first draws of every named stream.
 
 These back the claim that identical config and seed give identical results on
@@ -34,6 +34,8 @@ DIGESTS_NUMPY = "2.4.6"
 
 SIMULATE_SHA256 = "9246b0ac11d13d4ac7efc58e753784f2c308825a07bfcd58cd9f5721878241b1"
 SWEEP_SHA256 = "4dd7ed31db20d8481a09d150bd090744675eae924de3012651ce16c57845a554"
+# A sweep of a float field that is no capacity, so each value redraws.
+FLOAT_SWEEP_SHA256 = "317e51fa0f2cf71a4b246836de9194dc176c5a2245df3f952751c0e2a56bbe3c"
 
 # Every field of the simulate summary, keyed by name, so the CSV's rounding
 # and its missing columns (the utilization and renege CIs) hide nothing.
@@ -86,6 +88,13 @@ def test_sweep_csv_digest():
     results = sweep(mini_config(replications=3), "bed_capacity", [6, 10])
     write_sweep_csv(buf, "bed_capacity", results)
     assert _sha256(buf.getvalue()) == SWEEP_SHA256, _provenance("sweep CSV")
+
+
+def test_float_sweep_csv_digest():
+    buf = io.StringIO()
+    results = sweep(mini_config(replications=3), "age_16_20_fraction", [0.5, 0.85])
+    write_sweep_csv(buf, "age_16_20_fraction", results)
+    assert _sha256(buf.getvalue()) == FLOAT_SWEEP_SHA256, _provenance("float sweep CSV")
 
 
 def test_summary_digest():
