@@ -88,9 +88,7 @@ def resolve_config(args) -> ScenarioConfig:
     for key, flag in (("master_seed", "seed"), ("replications", "reps")):
         if getattr(args, flag, None) is not None:
             set_field(data, key, getattr(args, flag))
-    config = ScenarioConfig.from_dict(data)
-    config.validate()
-    return config
+    return ScenarioConfig.from_dict(data)
 
 
 def parse_values(text: str) -> list[float]:

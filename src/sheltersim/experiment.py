@@ -23,8 +23,8 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import get_args, get_type_hints
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin
 
 from .kernel import ResourceWindowStats, Simulator
 from .model import (
@@ -35,9 +35,12 @@ from .model import (
     Population,
     ServiceSpec,
     ShelterModel,
-    _type_errors,
+    as_declared,
     default_services,
     draw_population,
+    field_errors,
+    param,
+    type_hints,
 )
 from .stats import estimate
 from .streams import RngStream
@@ -89,27 +92,25 @@ class ScenarioConfig:
     one quarter of bed seekers (see README for the calibration procedure).
     """
 
-    bed_capacity: int = 66
+    bed_capacity: int = param(66, 0, MAX_CAPACITY_UNITS)
     services: tuple[ServiceSpec, ...] = field(
         default_factory=lambda: tuple(default_services()))
-    annual_arrivals: float = 1399.0
-    bsy_fraction: float = 1.0 / 3.0
-    age_16_20_fraction: float = 0.92
-    renege_exit_prob: float = 0.25
+    annual_arrivals: float = param(1399.0, 0)
+    bsy_fraction: float = param(1.0 / 3.0, 0, 1)
+    age_16_20_fraction: float = param(0.92, 0, 1)
+    renege_exit_prob: float = param(0.25, 0, 1)
     redraw_los_on_bed_renege: bool = False
-    warmup_days: float = 365.25
-    stats_window_days: float = 365.25
-    replications: int = 100
-    master_seed: int = 20240501
+    warmup_days: float = param(365.25, 0)
+    stats_window_days: float = param(365.25, 0)
+    replications: int = param(100, 1, MAX_GRID_PAIRS)
+    master_seed: int = param(20240501, 0, 2 ** 64 - 1)
 
     def validation_errors(self) -> list[str]:
-        errors = _type_errors(self)
+        errors = field_errors(self) or [
+            error for i, spec in enumerate(self.services)
+            for error in spec.validation_errors(path=f"services[{i}].")]
         if errors:
             return errors
-        if self.bed_capacity < 0:
-            errors.append("bed_capacity: must be a non-negative integer")
-        elif self.bed_capacity > MAX_CAPACITY_UNITS:
-            errors.append(f"bed_capacity: must be at most {MAX_CAPACITY_UNITS:,}")
         if self.bsy_fraction > 0 and self.bed_capacity < 1:
             errors.append("bed_capacity: must be >= 1 when bsy_fraction > 0 "
                           "(bed requests could never be satisfied)")
@@ -118,19 +119,9 @@ class ScenarioConfig:
         names = [s.name for s in self.services]
         if len(set(names)) != len(names):
             errors.append("services: names must be unique")
-        for i, spec in enumerate(self.services):
-            errors.extend(spec.validation_errors(path=f"services[{i}]."))
-            if spec.name in RESERVED_NAMES:
-                errors.append(f"services[{i}].name: {spec.name!r} is reserved "
-                              f"for the bed pool or a youth flow")
-        if self.annual_arrivals < 0:
-            errors.append("annual_arrivals: must be >= 0")
-        for name in ("bsy_fraction", "age_16_20_fraction", "renege_exit_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                errors.append(f"{name}: must be within [0, 1], got {value}")
-        if self.warmup_days < 0:
-            errors.append("warmup_days: must be >= 0")
+        errors.extend(f"services[{i}].name: {name!r} is reserved for the bed pool "
+                      f"or a youth flow" for i, name in enumerate(names)
+                      if name in RESERVED_NAMES)
         if not self.stats_window_days > 0:
             errors.append("stats_window_days: must be > 0")
         horizon = self.warmup_days + self.stats_window_days
@@ -143,30 +134,24 @@ class ScenarioConfig:
                 f"annual_arrivals x (warmup_days + stats_window_days) / {DAYS_PER_YEAR}: "
                 f"{expected:.6g} expected arrivals per replication, above the limit "
                 f"of {MAX_EXPECTED_ARRIVALS:,.0f}")
-        if not 1 <= self.replications <= MAX_GRID_PAIRS:
-            errors.append(f"replications: must be within [1, {MAX_GRID_PAIRS:,}]")
-        if not 0 <= self.master_seed < 2 ** 64:
-            errors.append("master_seed: must fit in an unsigned 64-bit integer")
         return errors
 
     def validate(self) -> None:
-        errors = self.validation_errors()
-        if errors:
+        if errors := self.validation_errors():
             raise ConfigError(errors)
 
     def to_dict(self) -> dict:
-        """The config as JSON data: its fields in declared order, services
-        as a list of objects."""
-        return asdict(self, dict_factory=lambda items: {
-            key: list(value) if isinstance(value, tuple) else value
-            for key, value in items})
+        """The config as JSON data: its fields in declared order, each number
+        as its field's type, services as a list of objects."""
+        return _to_data(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        """Inverse of ``to_dict``; missing keys take their defaults. Every
-        error found is raised at once as one ``ConfigError``."""
+        """Inverse of ``to_dict``; missing keys take their defaults. Returns a
+        valid config, or raises the errors found as one ``ConfigError``."""
         errors: list[str] = []
-        config = _from_object(cls, data, "", errors)
+        config = _from_data(cls, data, "", errors)
+        errors = errors or config.validation_errors()
         if errors:
             raise ConfigError(errors)
         return config
@@ -203,48 +188,36 @@ def set_field(data: dict, key: str, value) -> None:
                        f"e.g. {key}.capacity_units"])
 
 
-def _from_object(cls, data, path: str, errors: list[str]):
-    """Build the dataclass ``cls`` from a JSON object whose keys name its
-    fields, coercing each value by the field's declared type. Messages go to
+def _from_data(kind, value, path: str, errors: list[str]):
+    """JSON data ``value`` converted to the declared type ``kind`` where it
+    converts (an object to a dataclass, an array to a tuple, a number by
+    ``as_declared``), for ``field_errors`` to judge. A bad object goes to
     ``errors``, prefixed with ``path``; the result is then meaningless."""
-    if not isinstance(data, dict):
+    if get_origin(kind) is tuple and isinstance(value, list):
+        return tuple(_from_data(get_args(kind)[0], entry, f"{path}[{i}].", errors)
+                     for i, entry in enumerate(value))
+    if not is_dataclass(kind):
+        return as_declared(kind, value)
+    if not isinstance(value, dict):
         errors.append(f"{path.rstrip('.') or 'config'}: must be an object")
         return None
-    types = get_type_hints(cls)
-    unknown = sorted(set(data) - set(types))
+    kinds = type_hints(kind)
+    unknown = sorted(set(value) - set(kinds))
     if unknown:
         errors.extend(f"{path}{key}: unknown field" for key in unknown)
         return None
-    return cls(**{key: _coerce(types[key], value, f"{path}{key}", errors)
-                  for key, value in data.items()})
+    return kind(**{key: _from_data(kinds[key], entry, f"{path}{key}", errors)
+                   for key, entry in value.items()})
 
 
-def _coerce(kind, value, path: str, errors: list[str]):
-    """``value`` as the declared type ``kind``: a number field takes a JSON
-    number (not a boolean, though Python counts it as an int), and a tuple
-    of dataclasses a JSON array of objects."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is float and number:
-        try:
-            return float(value)
-        except OverflowError:
-            errors.append(f"{path}: must be a number within float range")
-    elif kind is int and number:
-        if isinstance(value, int) or value.is_integer():
-            return int(value)
-        errors.append(f"{path}: must be an integer, got {value!r}")
-    elif kind is float or kind is int:
-        errors.append(f"{path}: must be a number")
-    elif kind is bool or kind is str:
-        if isinstance(value, kind):
-            return value
-        errors.append(f"{path}: must be a {'boolean' if kind is bool else 'string'}")
-    elif isinstance(value, list):
-        return tuple(_from_object(get_args(kind)[0], entry, f"{path}[{i}].", errors)
-                     for i, entry in enumerate(value))
-    else:
-        errors.append(f"{path}: must be an array")
-    return None
+def _to_data(value, kind=None):
+    """``value``, declared as ``kind``, as JSON data: ``_from_data`` inverted."""
+    if is_dataclass(value):
+        kinds = type_hints(type(value))
+        return {f.name: _to_data(getattr(value, f.name), kinds[f.name]) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_to_data(entry) for entry in value]
+    return as_declared(kind, value)
 
 
 @dataclass(kw_only=True)
@@ -455,7 +428,6 @@ def sweep(config: ScenarioConfig, parameter: str, values: list[float],
         set_field(data, parameter, value)
         try:
             swept.append(ScenarioConfig.from_dict(data))
-            swept[-1].validate()
         except ConfigError as exc:
             errors.extend(f"{parameter}={value}: {error}" for error in exc.errors)
     if errors:

@@ -12,10 +12,11 @@ their departure time, when all held units are released at once.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
-from dataclasses import dataclass, field
-from typing import get_type_hints
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -51,6 +52,14 @@ BED_PATIENCE = TriangularParams(3, 5, 7)
 SERVICE_PATIENCE = TriangularParams(1, 7, 14)
 
 
+type_hints = functools.cache(get_type_hints)  # a dataclass's field types, read once
+
+
+def param(default, low, high=math.inf):
+    """A number field: its default and inclusive range (see ``field_errors``)."""
+    return field(default=default, metadata={"range": (low, high)})
+
+
 @dataclass(frozen=True)
 class ServiceSpec:
     """One appointment pool: monthly capacity, demand probability, and the
@@ -58,47 +67,67 @@ class ServiceSpec:
     service entry takes the default of each key it leaves out."""
 
     name: str = ""
-    capacity_units: int = 0
-    request_prob: float = 0.0
-    appt_min: int = 1
-    appt_max: int = 1
+    capacity_units: int = param(0, 1, MAX_CAPACITY_UNITS)
+    request_prob: float = param(0.0, 0, 1)
+    appt_min: int = param(1, 1)
+    appt_max: int = param(1, 1)
 
     def validation_errors(self, path: str = "") -> list[str]:
-        errors = _type_errors(self, path)
-        if errors:
+        if errors := field_errors(self, path):
             return errors
         if not self.name:
             errors.append(f"{path}name: must be non-empty")
-        if self.capacity_units < 0:
-            errors.append(f"{path}capacity_units: must be a non-negative integer")
-        elif self.capacity_units > MAX_CAPACITY_UNITS:
-            errors.append(f"{path}capacity_units: must be at most {MAX_CAPACITY_UNITS:,}")
-        if not 0.0 <= self.request_prob <= 1.0:
-            errors.append(f"{path}request_prob: must be within [0, 1], got {self.request_prob}")
-        if self.appt_min < 1:
-            errors.append(f"{path}appt_min: must be >= 1")
         if self.appt_max < self.appt_min:
             errors.append(f"{path}appt_max: must be >= appt_min")
         if self.appt_max > self.capacity_units:
-            errors.append(
-                f"{path}appt_max: {self.appt_max} exceeds capacity_units "
-                f"{self.capacity_units} (requests could never be satisfied)"
-            )
+            errors.append(f"{path}appt_max: {self.appt_max} exceeds capacity_units "
+                          f"{self.capacity_units} (requests could never be satisfied)")
         return errors
 
 
-def _type_errors(spec, path: str = "") -> list[str]:
-    """One message per field of a dataclass whose value its declared type
-    rules out: NaN or an infinity anywhere, and anything but an ``int`` (a
-    bool included) in an int field, as ``experiment._coerce`` rules for JSON.
-    Later range checks can then assume finite numbers of the declared type."""
-    errors = []
-    for name, kind in get_type_hints(type(spec)).items():
-        value = getattr(spec, name)
-        if isinstance(value, float) and not math.isfinite(value):
-            errors.append(f"{path}{name}: must be a finite number, got {value}")
-        elif kind is int and type(value) is not int:
-            errors.append(f"{path}{name}: must be an integer, got {value!r}")
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def as_declared(kind, value):
+    """``value`` as the number type ``kind`` where it converts (a whole float
+    to an int, an int within float range to a float), else as it is."""
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if kind is float and type(value) is int and _finite(value):
+        return float(value)
+    return value
+
+
+def field_errors(spec, path: str = "") -> list[str]:
+    """One message, prefixed with ``path``, per field of the dataclass
+    ``spec`` whose value is not of its declared type (a number field takes a
+    finite int or float, not a bool; an int field an int) or not in its
+    declared range. Rules across fields can then trust every field."""
+    errors, kinds = [], type_hints(type(spec))
+    for f in fields(spec):
+        kind, value, where = kinds[f.name], getattr(spec, f.name), f"{path}{f.name}"
+        if kind is int or kind is float:
+            low, high = f.metadata["range"]
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                errors.append(f"{where}: must be a number")
+            elif kind is int and not isinstance(value, int):
+                errors.append(f"{where}: must be an integer, got {value!r}")
+            elif not _finite(value):
+                errors.append(f"{where}: must be a finite number, got {value}"
+                              if isinstance(value, float)
+                              else f"{where}: must be a number within float range")
+            elif not low <= value <= high:
+                errors.append(f"{where}: must be within [{low:,}, {high:,}], got {value}")
+        elif kind is bool or kind is str:
+            if not isinstance(value, kind):
+                errors.append(f"{where}: must be a {'boolean' if kind is bool else 'string'}")
+        elif not (isinstance(value, (tuple, list))
+                  and all(isinstance(entry, get_args(kind)[0]) for entry in value)):
+            errors.append(f"{where}: must be an array of {get_args(kind)[0].__name__}")
     return errors
 
 

@@ -63,7 +63,7 @@ def test_validate_rejects_bad_probability(capsys):
     assert "request_prob" in err
 
 
-def test_validate_rejects_appointments_beyond_capacity(capsys):
+def test_validate_rejects_appointments_beyond_capacity(tmp_path, capsys):
     code = run_cli("validate", "--set", "services.insurance_enrollment.appt_max=50")
     assert code == 2
     assert "appt_max" in capsys.readouterr().err
@@ -71,7 +71,14 @@ def test_validate_rejects_appointments_beyond_capacity(capsys):
     huge = "1" + "0" * 400
     for path in ("bed_capacity", "services.medical.capacity_units"):
         assert run_cli("validate", "--set", f"{path}={huge}") == 2
-        assert "must be at most 1,000,000,000" in capsys.readouterr().err
+        assert "must be a number within float range" in capsys.readouterr().err
+    # No appointment fits in a capacity of 0, so the range starts at 1.
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--param", "service:psychiatric", "--values", "0,56",
+                   "--out", str(out)) == 2
+    assert not out.exists()
+    assert ("config error: service:psychiatric=0: services[3].capacity_units: "
+            "must be within [1, 1,000,000,000], got 0\n") == capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2_without_outputs(tmp_path, capsys):

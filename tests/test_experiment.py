@@ -4,7 +4,7 @@ summary math, config handling, and common-random-number coupling."""
 import gc
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -27,7 +27,7 @@ from sheltersim.experiment import (
     sweep,
     worker_count,
 )
-from sheltersim.model import BED_RESOURCE
+from sheltersim.model import BED_RESOURCE, ServiceSpec
 from sheltersim.stats import _total, estimate, t_quantile
 from support import arrival_log, config_dicts, mini_config
 
@@ -430,13 +430,18 @@ def test_config_validation_reports_field_paths():
     assert any("appt_max" in e and "services[2]" in e for e in errors)
 
     assert ScenarioConfig(bed_capacity=MAX_CAPACITY_UNITS).validation_errors() == []
-    for capacity in (MAX_CAPACITY_UNITS + 1, 10 ** 400):
+    above = MAX_CAPACITY_UNITS + 1
+    for capacity, bed_error, units_error in [
+            (above, f"must be within [0, {MAX_CAPACITY_UNITS:,}], got {above}",
+             f"must be within [1, {MAX_CAPACITY_UNITS:,}], got {above}"),
+            (10 ** 400, "must be a number within float range",
+             "must be a number within float range")]:
         assert ScenarioConfig(bed_capacity=capacity).validation_errors() == [
-            f"bed_capacity: must be at most {MAX_CAPACITY_UNITS:,}"]
+            f"bed_capacity: {bed_error}"]
         services = list(ScenarioConfig().services)
         services[4] = replace(services[4], capacity_units=capacity)
         assert ScenarioConfig(services=tuple(services)).validation_errors() == [
-            f"services[4].capacity_units: must be at most {MAX_CAPACITY_UNITS:,}"]
+            f"services[4].capacity_units: {units_error}"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -445,14 +450,17 @@ def test_config_validation_reports_field_paths():
                                   "bed_capacity"])
 def test_config_rejects_non_finite_numbers(name, value):
     errors = replace(ScenarioConfig(), **{name: value}).validation_errors()
-    assert errors == [f"{name}: must be a finite number, got {value}"]
+    if name == "bed_capacity":  # an int field, which no float can fill
+        assert errors == [f"{name}: must be an integer, got {value!r}"]
+    else:
+        assert errors == [f"{name}: must be a finite number, got {value}"]
 
 
 def test_service_rejects_non_finite_numbers():
     services = list(ScenarioConfig().services)
     services[1] = replace(services[1], capacity_units=math.nan, request_prob=math.inf)
     errors = ScenarioConfig(services=tuple(services)).validation_errors()
-    assert errors == ["services[1].capacity_units: must be a finite number, got nan",
+    assert errors == ["services[1].capacity_units: must be an integer, got nan",
                       "services[1].request_prob: must be a finite number, got inf"]
 
 
@@ -469,7 +477,10 @@ def test_int_fields_built_in_python_must_hold_ints(name, value):
         config, path = replace(config, services=tuple(services)), f"services[0].{name}"
     else:
         config, path = replace(config, **{name: value}), name
-    assert config.validation_errors() == [f"{path}: must be an integer, got {value!r}"]
+    if isinstance(value, float):
+        assert config.validation_errors() == [f"{path}: must be an integer, got {value!r}"]
+    else:
+        assert config.validation_errors() == [f"{path}: must be a number"]
 
 
 def test_config_rejects_non_integer_capacity():
@@ -527,6 +538,88 @@ def test_invalid_window_rejected():
         errors = ScenarioConfig(replications=replications).validation_errors()
         assert any(e.startswith("replications") for e in errors)
     assert ScenarioConfig(replications=MAX_GRID_PAIRS).validation_errors() == []
+
+
+def _config_with(path: str, value) -> ScenarioConfig:
+    """The default config with the field at ``path`` (a top-level field, or
+    ``services[0].<field>``) set to ``value``, unchecked."""
+    if path.startswith("services[0]."):
+        services = list(ScenarioConfig().services)
+        services[0] = replace(services[0], **{path.removeprefix("services[0]."): value})
+        return ScenarioConfig(services=tuple(services))
+    return ScenarioConfig(**{path: value})
+
+
+# Every field with each value of the wrong kind or out of range, set in
+# Python, where no JSON conversion runs first; a bool and a str field each
+# take one of them as valid.
+PYTHON_VALUES = {"None": None, "x": "x", "True": True, "10**400": 10 ** 400, "[]": []}
+PYTHON_CASES = [
+    pytest.param(path, value, id=f"{path}={label}")
+    for path in ([f.name for f in fields(ScenarioConfig)]
+                 + [f"services[0].{f.name}" for f in fields(ServiceSpec)])
+    for label, value in PYTHON_VALUES.items()
+    if (path, label) not in {("redraw_los_on_bed_renege", "True"), ("services[0].name", "x")}
+] + [pytest.param("services[0].name", 5, id="services[0].name=5")]
+
+
+@pytest.mark.parametrize("path, value", PYTHON_CASES)
+def test_config_built_in_python_is_checked_like_json(path, value):
+    config = _config_with(path, value)
+    errors = config.validation_errors()
+    assert errors
+    assert all(error.startswith(path) for error in errors), errors
+    with pytest.raises(ConfigError):
+        run_scenario(config)
+
+
+def test_whole_number_in_float_field_has_the_digest_of_its_float():
+    assert (ScenarioConfig(warmup_days=365).digest()
+            == ScenarioConfig(warmup_days=365.0).digest())
+    assert ScenarioConfig(warmup_days=365).to_dict()["warmup_days"] == 365.0
+
+
+def _python_built(data: dict) -> ScenarioConfig:
+    """A config built in Python straight from the raw values of a config
+    dict: each service object whose keys are fields becomes a
+    ``ServiceSpec``, and nothing is converted."""
+    services = data.get("services")
+    if isinstance(services, list):
+        keys = {f.name for f in fields(ServiceSpec)}
+        data = {**data, "services": tuple(
+            ServiceSpec(**entry) if isinstance(entry, dict) and entry.keys() <= keys
+            else entry for entry in services)}
+    return ScenarioConfig(**data)
+
+
+@given(config_dicts)
+@settings(max_examples=300, deadline=None)
+def test_config_built_in_python_validates_without_raising(data):
+    config = _python_built(data)
+    if not config.validation_errors():
+        assert ScenarioConfig.from_dict(config.to_dict()).digest() == config.digest()
+
+
+def _readme_table(header: str) -> list[list[str]]:
+    """The body rows of the README table under ``header``, split in cells."""
+    lines = Path("README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index(header) + 2
+    end = next(i for i in range(start, len(lines) + 1)
+               if i == len(lines) or not lines[i].startswith("|"))
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in lines[start:end]]
+
+
+@pytest.mark.parametrize("cls, header", [
+    (ScenarioConfig, "| field | default | range | meaning |"),
+    (ServiceSpec, "| service field | default | range | meaning |"),
+])
+def test_readme_lists_every_field_with_its_declared_range(cls, header):
+    rows = _readme_table(header)
+    assert [name for name, *_ in rows] == [f"`{f.name}`" for f in fields(cls)]
+    declared = ["[{:,}, {:,}]".format(*f.metadata["range"]) if "range" in f.metadata
+                else "" for f in fields(cls)]
+    assert [span for _, _, span, _ in rows] == declared
 
 
 

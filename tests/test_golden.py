@@ -32,6 +32,8 @@ from support import mini_config
 
 DIGESTS_NUMPY = "2.4.6"
 
+DEFAULT_CONFIG_SHA256 = "43395c70dda3bb9ab1c519bf78e6ab76eb3cf5568a2b692980e1cbddce2c55e1"
+
 SIMULATE_SHA256 = "9246b0ac11d13d4ac7efc58e753784f2c308825a07bfcd58cd9f5721878241b1"
 SWEEP_SHA256 = "4dd7ed31db20d8481a09d150bd090744675eae924de3012651ce16c57845a554"
 # A sweep of a float field that is no capacity, so each value redraws.
@@ -75,6 +77,11 @@ def _provenance(what: str) -> str:
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_default_config_digest():
+    # Every manifest's ``config_digest`` of the default config.
+    assert ScenarioConfig().digest() == DEFAULT_CONFIG_SHA256
 
 
 def test_simulate_csv_digest():
