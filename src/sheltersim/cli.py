@@ -18,17 +18,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .experiment import (
-    FLOW_LABELS,
-    MAX_GRID_PAIRS,
-    ConfigError,
-    ResourceSummary,
-    ScenarioConfig,
-    ScenarioSummary,
-    run_scenario,
-    set_field,
-    sweep,
-)
+from .config import MAX_GRID_PAIRS, ConfigError, ScenarioConfig, set_field
+from .experiment import ResourceSummary, ScenarioSummary, run_scenario, sweep
+from .model import FLOW_LABELS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,7 +51,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError([f"config file not found: {path}"])
     except OSError as exc:  # a directory, no permission, ...
         raise ConfigError([f"config file {path} cannot be read: {exc}"])
-    except ValueError as exc:  # JSONDecodeError, or an integer over int_max_str_digits
+    except (ValueError, RecursionError) as exc:  # bad JSON, too long an int, too deep
         raise ConfigError([f"config file {path} is not valid JSON: {exc}"])
     if not isinstance(data, dict):
         raise ConfigError([f"config file {path} must contain a JSON object"])

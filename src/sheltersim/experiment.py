@@ -1,5 +1,5 @@
 """Replication runner with warm-up truncation, cross-replication summaries,
-and one-parameter capacity sweeps under common random numbers.
+and one-parameter sweeps under common random numbers.
 
 A scenario is one shelter configuration. Each replication builds a fresh
 kernel, seeds its streams from (master seed, replication index, stream name),
@@ -18,49 +18,18 @@ replication in a capacity sweep share a single draw.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import get_args, get_origin
+from dataclasses import dataclass, field, fields, replace
 
+from .config import MAX_GRID_PAIRS, ConfigError, ScenarioConfig, set_field
 from .kernel import ResourceWindowStats, Simulator
-from .model import (
-    BED_RESOURCE,
-    DAYS_PER_YEAR,
-    MAX_CAPACITY_UNITS,
-    FlowCounters,
-    Population,
-    ServiceSpec,
-    ShelterModel,
-    as_declared,
-    default_services,
-    draw_population,
-    field_errors,
-    param,
-    type_hints,
-)
+from .model import FLOW_LABELS, FlowCounters, Population, ShelterModel, draw_population
 from .stats import estimate
 from .streams import RngStream
 
 # Streams a replication may consume, in no particular order.
 STREAM_NAMES = ("arrivals", "attributes", "needs", "redraw")
-
-# Bound on one replication's work (and its population's memory): baseline
-# replications expect about 2.8k arrivals.
-MAX_EXPECTED_ARRIVALS = 1e6
-
-# Bound on the (value, replication) pairs one command runs, and so on its
-# lists of pairs and of kept records (about 2.5 KB per replication).
-MAX_GRID_PAIRS = 10 ** 5
-
-# Each flow and the label of its mean in the CSV, in CSV order.
-FLOW_LABELS = {f.name: f.metadata["label"] for f in fields(FlowCounters)}
-
-# Names no service may take: the results key every pool and flow by name.
-RESERVED_NAMES = (BED_RESOURCE, *FLOW_LABELS.values())
 
 
 def __getattr__(name: str):
@@ -73,151 +42,6 @@ def __getattr__(name: str):
     from concurrent.futures import ProcessPoolExecutor
     globals()[name] = ProcessPoolExecutor
     return ProcessPoolExecutor
-
-
-class ConfigError(ValueError):
-    """Invalid scenario configuration; ``errors`` lists field-path messages."""
-
-    def __init__(self, errors: list[str]):
-        self.errors = errors
-        super().__init__("; ".join(errors))
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Full parameterization of one shelter configuration.
-
-    ``age_16_20_fraction`` is a calibrated modeling input, not an observed
-    quantity: it is chosen so the baseline bed-abandonment rate lands near
-    one quarter of bed seekers (see README for the calibration procedure).
-    """
-
-    bed_capacity: int = param(66, 0, MAX_CAPACITY_UNITS)
-    services: tuple[ServiceSpec, ...] = field(
-        default_factory=lambda: tuple(default_services()))
-    annual_arrivals: float = param(1399.0, 0)
-    bsy_fraction: float = param(1.0 / 3.0, 0, 1)
-    age_16_20_fraction: float = param(0.92, 0, 1)
-    renege_exit_prob: float = param(0.25, 0, 1)
-    redraw_los_on_bed_renege: bool = False
-    warmup_days: float = param(365.25, 0)
-    stats_window_days: float = param(365.25, 0)
-    replications: int = param(100, 1, MAX_GRID_PAIRS)
-    master_seed: int = param(20240501, 0, 2 ** 64 - 1)
-
-    def validation_errors(self) -> list[str]:
-        errors = field_errors(self) or [
-            error for i, spec in enumerate(self.services)
-            for error in spec.validation_errors(path=f"services[{i}].")]
-        if errors:
-            return errors
-        if self.bsy_fraction > 0 and self.bed_capacity < 1:
-            errors.append("bed_capacity: must be >= 1 when bsy_fraction > 0 "
-                          "(bed requests could never be satisfied)")
-        if not self.services:
-            errors.append("services: must list at least one service")
-        names = [s.name for s in self.services]
-        if len(set(names)) != len(names):
-            errors.append("services: names must be unique")
-        errors.extend(f"services[{i}].name: {name!r} is reserved for the bed pool "
-                      f"or a youth flow" for i, name in enumerate(names)
-                      if name in RESERVED_NAMES)
-        if not self.stats_window_days > 0:
-            errors.append("stats_window_days: must be > 0")
-        horizon = self.warmup_days + self.stats_window_days
-        expected = self.annual_arrivals * horizon / DAYS_PER_YEAR
-        if not math.isfinite(horizon):
-            errors.append(f"warmup_days + stats_window_days: must be a finite number, "
-                          f"got {horizon}")
-        elif expected > MAX_EXPECTED_ARRIVALS:
-            errors.append(
-                f"annual_arrivals x (warmup_days + stats_window_days) / {DAYS_PER_YEAR}: "
-                f"{expected:.6g} expected arrivals per replication, above the limit "
-                f"of {MAX_EXPECTED_ARRIVALS:,.0f}")
-        return errors
-
-    def validate(self) -> None:
-        if errors := self.validation_errors():
-            raise ConfigError(errors)
-
-    def to_dict(self) -> dict:
-        """The config as JSON data: its fields in declared order, each number
-        as its field's type, services as a list of objects."""
-        return _to_data(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        """Inverse of ``to_dict``; missing keys take their defaults. Returns a
-        valid config, or raises the errors found as one ``ConfigError``."""
-        errors: list[str] = []
-        config = _from_data(cls, data, "", errors)
-        errors = errors or config.validation_errors()
-        if errors:
-            raise ConfigError(errors)
-        return config
-
-    def digest(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def set_field(data: dict, key: str, value) -> None:
-    """Set the field that the dotted ``key`` names in the config JSON
-    ``data`` to ``value``; the one way a config field is addressed by name.
-    A segment under ``services`` selects the service of that name, and
-    ``service:<name>`` spells ``services.<name>.capacity_units``. Only the
-    path is checked here; ``ScenarioConfig.from_dict`` checks the value."""
-    if key.startswith("service:"):
-        key = f"services.{key.removeprefix('service:')}.capacity_units"
-    parts = key.split(".")
-    node = data
-    for depth, part in enumerate(parts, 1):
-        if isinstance(node, list):
-            node = next((item for item in node
-                         if isinstance(item, dict) and item.get("name") == part), None)
-            if node is None:
-                raise ConfigError([f"{key}: no service named {part!r}"])
-        elif isinstance(node, dict) and depth == len(parts):
-            node[part] = value
-            return
-        elif isinstance(node, dict) and part in node:
-            node = node[part]
-        else:
-            raise ConfigError([f"{key}: no such field {part!r}"])
-    raise ConfigError([f"{key}: names a service; set one of its fields, "
-                       f"e.g. {key}.capacity_units"])
-
-
-def _from_data(kind, value, path: str, errors: list[str]):
-    """JSON data ``value`` converted to the declared type ``kind`` where it
-    converts (an object to a dataclass, an array to a tuple, a number by
-    ``as_declared``), for ``field_errors`` to judge. A bad object goes to
-    ``errors``, prefixed with ``path``; the result is then meaningless."""
-    if get_origin(kind) is tuple and isinstance(value, list):
-        return tuple(_from_data(get_args(kind)[0], entry, f"{path}[{i}].", errors)
-                     for i, entry in enumerate(value))
-    if not is_dataclass(kind):
-        return as_declared(kind, value)
-    if not isinstance(value, dict):
-        errors.append(f"{path.rstrip('.') or 'config'}: must be an object")
-        return None
-    kinds = type_hints(kind)
-    unknown = sorted(set(value) - set(kinds))
-    if unknown:
-        errors.extend(f"{path}{key}: unknown field" for key in unknown)
-        return None
-    return kind(**{key: _from_data(kinds[key], entry, f"{path}{key}", errors)
-                   for key, entry in value.items()})
-
-
-def _to_data(value, kind=None):
-    """``value``, declared as ``kind``, as JSON data: ``_from_data`` inverted."""
-    if is_dataclass(value):
-        kinds = type_hints(type(value))
-        return {f.name: _to_data(getattr(value, f.name), kinds[f.name]) for f in fields(value)}
-    if isinstance(value, (tuple, list)):
-        return [_to_data(entry) for entry in value]
-    return as_declared(kind, value)
 
 
 @dataclass(kw_only=True)

@@ -12,11 +12,10 @@ their departure time, when all held units are released at once.
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import get_args, get_type_hints
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,13 +35,12 @@ from .distributions import (  # noqa: F401
 from .kernel import Resource, Simulator
 from .streams import RngStream
 
+if TYPE_CHECKING:
+    from .config import ServiceSpec
+
 DAYS_PER_YEAR = 365.25
 
 BED_RESOURCE = "crisis_beds"
-
-# Bound on every pool's capacity (bed units, monthly appointments), far above
-# any shelter and well inside float range, where utilization divides by it.
-MAX_CAPACITY_UNITS = 10 ** 9
 
 # Stay-attribute distributions (days).
 LOS_BED_SEEKING_16_20 = TriangularParams(30, 75, 90)
@@ -50,96 +48,6 @@ LOS_BED_SEEKING_21_24 = TriangularParams(60, 120, 180)
 LOS_SERVICE_ONLY = TriangularParams(7, 14, 30)
 BED_PATIENCE = TriangularParams(3, 5, 7)
 SERVICE_PATIENCE = TriangularParams(1, 7, 14)
-
-
-type_hints = functools.cache(get_type_hints)  # a dataclass's field types, read once
-
-
-def param(default, low, high=math.inf):
-    """A number field: its default and inclusive range (see ``field_errors``)."""
-    return field(default=default, metadata={"range": (low, high)})
-
-
-@dataclass(frozen=True)
-class ServiceSpec:
-    """One appointment pool: monthly capacity, demand probability, and the
-    per-youth monthly appointment range conditional on requesting. A config's
-    service entry takes the default of each key it leaves out."""
-
-    name: str = ""
-    capacity_units: int = param(0, 1, MAX_CAPACITY_UNITS)
-    request_prob: float = param(0.0, 0, 1)
-    appt_min: int = param(1, 1)
-    appt_max: int = param(1, 1)
-
-    def validation_errors(self, path: str = "") -> list[str]:
-        if errors := field_errors(self, path):
-            return errors
-        if not self.name:
-            errors.append(f"{path}name: must be non-empty")
-        if self.appt_max < self.appt_min:
-            errors.append(f"{path}appt_max: must be >= appt_min")
-        if self.appt_max > self.capacity_units:
-            errors.append(f"{path}appt_max: {self.appt_max} exceeds capacity_units "
-                          f"{self.capacity_units} (requests could never be satisfied)")
-        return errors
-
-
-def _finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond float range
-        return False
-
-
-def as_declared(kind, value):
-    """``value`` as the number type ``kind`` where it converts (a whole float
-    to an int, an int within float range to a float), else as it is."""
-    if kind is int and type(value) is float and value.is_integer():
-        return int(value)
-    if kind is float and type(value) is int and _finite(value):
-        return float(value)
-    return value
-
-
-def field_errors(spec, path: str = "") -> list[str]:
-    """One message, prefixed with ``path``, per field of the dataclass
-    ``spec`` whose value is not of its declared type (a number field takes a
-    finite int or float, not a bool; an int field an int) or not in its
-    declared range. Rules across fields can then trust every field."""
-    errors, kinds = [], type_hints(type(spec))
-    for f in fields(spec):
-        kind, value, where = kinds[f.name], getattr(spec, f.name), f"{path}{f.name}"
-        if kind is int or kind is float:
-            low, high = f.metadata["range"]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                errors.append(f"{where}: must be a number")
-            elif kind is int and not isinstance(value, int):
-                errors.append(f"{where}: must be an integer, got {value!r}")
-            elif not _finite(value):
-                errors.append(f"{where}: must be a finite number, got {value}"
-                              if isinstance(value, float)
-                              else f"{where}: must be a number within float range")
-            elif not low <= value <= high:
-                errors.append(f"{where}: must be within [{low:,}, {high:,}], got {value}")
-        elif kind is bool or kind is str:
-            if not isinstance(value, kind):
-                errors.append(f"{where}: must be a {'boolean' if kind is bool else 'string'}")
-        elif not (isinstance(value, (tuple, list))
-                  and all(isinstance(entry, get_args(kind)[0]) for entry in value)):
-            errors.append(f"{where}: must be an array of {get_args(kind)[0].__name__}")
-    return errors
-
-
-def default_services() -> list[ServiceSpec]:
-    """The five support services at their estimated monthly capacities."""
-    return [
-        ServiceSpec("case_management", 400, 1.0, 2, 4),
-        ServiceSpec("drug_counseling", 60, 0.40, 1, 4),
-        ServiceSpec("insurance_enrollment", 34, 0.50, 1, 1),
-        ServiceSpec("psychiatric", 56, 0.50, 1, 4),
-        ServiceSpec("medical", 192, 0.90, 1, 5),
-    ]
 
 
 class Youth:
@@ -202,6 +110,10 @@ class FlowCounters:
     bed_renege_exit: int = _flow("bed_renege_exit")
     bed_renege_stayed: int = _flow("bed_renege_stayed")
     still_in_system: int = _flow("youth_still_in_system")
+
+
+# Each flow and the label of its mean in the CSV, in CSV order.
+FLOW_LABELS = {f.name: f.metadata["label"] for f in fields(FlowCounters)}
 
 
 class Population:

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite: a small scaled-down scenario, scripted
 youth construction, the per-youth reference draw of a population, trace
-filters, strategies for fuzzing configs, and reusable statistical checks."""
+filters and window counts, strategies for fuzzing configs, and reusable
+statistical checks."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 from hypothesis import strategies as st
@@ -16,20 +18,22 @@ from sheltersim.distributions import (
     sample_triangular,
     sample_uniform_int,
 )
-from sheltersim.experiment import RESERVED_NAMES, ScenarioConfig
+from sheltersim.config import RESERVED_NAMES, ScenarioConfig, ServiceSpec
 from sheltersim.kernel import Simulator
 from sheltersim.model import (
     BED_PATIENCE,
+    BED_RESOURCE,
     DAYS_PER_YEAR,
+    FLOW_LABELS,
     LOS_BED_SEEKING_16_20,
     LOS_BED_SEEKING_21_24,
     LOS_SERVICE_ONLY,
     SERVICE_PATIENCE,
     Population,
-    ServiceSpec,
     ShelterModel,
     Youth,
 )
+from sheltersim.stats import _total
 
 
 def mini_config(**overrides) -> ScenarioConfig:
@@ -118,6 +122,59 @@ def reference_population(specs, annual_arrivals, bsy_fraction, age_16_20_fractio
 def arrival_log(trace: list) -> list:
     """Arrival entries of a trace: epoch plus every drawn youth attribute."""
     return [entry for entry in trace if entry[0] == "arrival"]
+
+
+# The counts and waits of a pool that ``window_counts`` recomputes.
+POOL_COUNTS = ("requests", "served", "reneges", "still_queued", "avg_wait", "max_wait")
+
+# The flow counter of each way a bed seeker gives up, as the trace words it.
+BED_RENEGE_FLOWS = {"exit": "bed_renege_exit", "stay": "bed_renege_stayed"}
+
+
+def window_counts(trace: list, pools, start: float, end: float) -> tuple[dict, dict]:
+    """The flow counters, and each of ``pools``'s ``POOL_COUNTS``, of the
+    statistics window (start, end], recomputed from a replication's
+    ``trace`` alone.
+
+    An arrival or a request counts when its time is after ``start``, and a
+    youth's flows count when its arrival does. A wait is the time of a
+    counted request's grant minus its own, summed with ``_total`` in trace
+    order; a request with neither a grant nor a renege is still queued.
+    """
+    flows = dict.fromkeys(FLOW_LABELS, 0)
+    counted = set()  # the youths who arrived in the window
+    queued = {}  # (pool, youth) -> time, of every counted request not yet resolved
+    requests, reneges = Counter(), Counter()
+    waits = {pool: [] for pool in pools}
+    for event, t, youth, *rest in trace:
+        if t > end:
+            break
+        subject, _, step = event.partition("_")  # e.g. "bed", "_", "request"
+        pool = BED_RESOURCE if subject == "bed" else rest[0]
+        if event == "arrival" and t > start:
+            counted.add(youth)
+            flows["arrivals"] += 1
+            flows["still_in_system"] += 1
+            flows[f"arrivals_{rest[0]}"] += 1
+        elif step == "request" and t > start:
+            queued[pool, youth] = t
+            requests[pool] += 1
+        elif step == "grant" and (pool, youth) in queued:
+            waits[pool].append(t - queued.pop((pool, youth)))
+        elif step == "renege" and (pool, youth) in queued:
+            del queued[pool, youth]
+            reneges[pool] += 1
+        if event == "bed_renege" and youth in counted:
+            flows[BED_RENEGE_FLOWS[rest[0]]] += 1
+        elif event == "depart" and youth in counted:
+            flows[rest[0]] += 1
+            flows["still_in_system"] -= 1
+    still_queued = Counter(pool for pool, _ in queued)
+    return flows, {pool: {
+        "requests": requests[pool], "served": len(waits[pool]), "reneges": reneges[pool],
+        "still_queued": still_queued[pool],
+        "avg_wait": _total(waits[pool]) / len(waits[pool]) if waits[pool] else None,
+        "max_wait": max(waits[pool], default=None)} for pool in pools}
 
 
 # The names of the bed pool's and the flows' rows, which no service may take.

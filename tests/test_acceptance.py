@@ -14,14 +14,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sheltersim.config import ScenarioConfig
 from sheltersim.distributions import TriangularParams, sample_triangular
-from sheltersim.experiment import (
-    ScenarioConfig,
-    available_cpus,
-    run_replication,
-    run_scenario,
-    sweep,
-)
+from sheltersim.experiment import available_cpus, run_replication, run_scenario, sweep
 from sheltersim.kernel import Resource, Simulator
 from support import (
     arrival_log,

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheltersim.cli import load_config, main, parse_values, resolve_config
-from sheltersim.experiment import MAX_GRID_PAIRS, ConfigError, ScenarioConfig
+from sheltersim.config import MAX_GRID_PAIRS, ConfigError, ScenarioConfig
 from support import json_values, mini_config
 
 FAST_OVERRIDES = [
@@ -77,7 +77,7 @@ def test_validate_rejects_appointments_beyond_capacity(tmp_path, capsys):
     assert run_cli("sweep", "--param", "service:psychiatric", "--values", "0,56",
                    "--out", str(out)) == 2
     assert not out.exists()
-    assert ("config error: service:psychiatric=0: services[3].capacity_units: "
+    assert ("config error: service:psychiatric=0: services.psychiatric.capacity_units: "
             "must be within [1, 1,000,000,000], got 0\n") == capsys.readouterr().err
 
 
@@ -111,7 +111,7 @@ def test_reserved_service_name_exits_2_without_outputs(tmp_path, capsys):
                        "--set", f"services.medical.name={name}")
         assert code == 2
         assert not out.exists()
-        assert (f"config error: services[4].name: {name!r} is reserved"
+        assert (f"config error: services.{name}.name: {name!r} is reserved"
                 in capsys.readouterr().err)
 
 
@@ -124,6 +124,14 @@ def test_set_value_nested_too_deep_is_a_string(capsys):
     # Too deep for the JSON parser, so the value stays text: a config error.
     assert run_cli("validate", "--set", "bed_capacity=" + "[" * 100_000) == 2
     assert "config error: bed_capacity: must be a number" in capsys.readouterr().err
+
+
+def test_config_file_nested_too_deep_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    assert run_cli("validate", "--config", str(path)) == 2
+    assert (f"config error: config file {path} is not valid JSON: "
+            in capsys.readouterr().err)
 
 
 def test_simulate_writes_csv_and_manifest(tmp_path, capsys):
@@ -507,7 +515,7 @@ def test_serial_run_never_imports_the_process_pool(tmp_path):
 @pytest.mark.parametrize("assignment, field", [
     ("annual_arrivals=true", "annual_arrivals"),
     ("bsy_fraction=false", "bsy_fraction"),
-    ("services.psychiatric.request_prob=true", "services[3].request_prob"),
+    ("services.psychiatric.request_prob=true", "services.psychiatric.request_prob"),
     ("bed_capacity=true", "bed_capacity"),
     ("annual_arrivals=1" + "0" * 400, "annual_arrivals"),
     ("annual_arrivals=" + "9" * 5000, "annual_arrivals"),

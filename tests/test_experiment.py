@@ -1,6 +1,7 @@
 """Experiment harness tests: replication determinism, warm-up behavior,
 summary math, config handling, and common-random-number coupling."""
 
+import copy
 import gc
 import json
 import math
@@ -8,28 +9,30 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from sheltersim import experiment
-from sheltersim.experiment import (
-    FLOW_LABELS,
+from sheltersim.config import (
     MAX_CAPACITY_UNITS,
     MAX_EXPECTED_ARRIVALS,
     MAX_GRID_PAIRS,
     ConfigError,
     ScenarioConfig,
+    ServiceSpec,
+    set_field,
+)
+from sheltersim.experiment import (
     build_streams,
     replication_population,
     run_replication,
     run_scenario,
-    set_field,
     summarize,
     sweep,
     worker_count,
 )
-from sheltersim.model import BED_RESOURCE, ServiceSpec
+from sheltersim.model import BED_RESOURCE, DAYS_PER_YEAR, FLOW_LABELS
 from sheltersim.stats import _total, estimate, t_quantile
-from support import arrival_log, config_dicts, mini_config
+from support import POOL_COUNTS, arrival_log, config_dicts, mini_config, window_counts
 
 
 def test_replication_is_deterministic():
@@ -52,6 +55,35 @@ def test_traced_runs_are_bit_identical():
     stats_b = run_replication(cfg, 3, trace_b)
     assert stats_a == stats_b
     assert trace_a == trace_b
+
+
+def _assert_record_follows_from_trace(config: ScenarioConfig, replication: int) -> None:
+    trace: list = []
+    stats = run_replication(config, replication, trace)
+    flows, pools = window_counts(trace, stats.resources, config.warmup_days,
+                                 config.warmup_days + config.stats_window_days)
+    assert flows == {name: getattr(stats, name) for name in FLOW_LABELS}
+    assert pools == {name: {key: getattr(window, key) for key in POOL_COUNTS}
+                     for name, window in stats.resources.items()}
+
+
+@pytest.mark.parametrize("replication", range(3))
+def test_baseline_record_follows_from_its_trace(replication):
+    # Every count and wait of the record, all but utilization, is
+    # recomputed from the trace alone.
+    _assert_record_follows_from_trace(ScenarioConfig(), replication)
+
+
+@given(config_dicts)
+@settings(max_examples=100, deadline=None)
+def test_record_follows_from_its_trace(data):
+    try:
+        config = ScenarioConfig.from_dict(data)
+    except ConfigError:
+        assume(False)
+    horizon = config.warmup_days + config.stats_window_days
+    assume(config.annual_arrivals * horizon / DAYS_PER_YEAR <= 2000)
+    _assert_record_follows_from_trace(config, 0)
 
 
 def test_finished_replication_leaves_no_reference_cycles():
@@ -422,12 +454,12 @@ def test_config_validation_reports_field_paths():
     services = list(ScenarioConfig().services)
     services[3] = replace(services[3], request_prob=1.3)
     errors = ScenarioConfig(services=tuple(services)).validation_errors()
-    assert any(e.startswith("services[3].request_prob") for e in errors)
+    assert any(e.startswith("services.psychiatric.request_prob") for e in errors)
 
     services = list(ScenarioConfig().services)
     services[2] = replace(services[2], appt_max=50)
     errors = ScenarioConfig(services=tuple(services)).validation_errors()
-    assert any("appt_max" in e and "services[2]" in e for e in errors)
+    assert any("appt_max" in e and "services.insurance_enrollment" in e for e in errors)
 
     assert ScenarioConfig(bed_capacity=MAX_CAPACITY_UNITS).validation_errors() == []
     above = MAX_CAPACITY_UNITS + 1
@@ -441,7 +473,7 @@ def test_config_validation_reports_field_paths():
         services = list(ScenarioConfig().services)
         services[4] = replace(services[4], capacity_units=capacity)
         assert ScenarioConfig(services=tuple(services)).validation_errors() == [
-            f"services[4].capacity_units: {units_error}"]
+            f"services.medical.capacity_units: {units_error}"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -460,8 +492,8 @@ def test_service_rejects_non_finite_numbers():
     services = list(ScenarioConfig().services)
     services[1] = replace(services[1], capacity_units=math.nan, request_prob=math.inf)
     errors = ScenarioConfig(services=tuple(services)).validation_errors()
-    assert errors == ["services[1].capacity_units: must be an integer, got nan",
-                      "services[1].request_prob: must be a finite number, got inf"]
+    assert errors == ["services.drug_counseling.capacity_units: must be an integer, got nan",
+                      "services.drug_counseling.request_prob: must be a finite number, got inf"]
 
 
 @pytest.mark.parametrize("value", [2.0, 2.5, True, "2"])
@@ -474,7 +506,8 @@ def test_int_fields_built_in_python_must_hold_ints(name, value):
     if name in ("capacity_units", "appt_min", "appt_max"):
         services = list(config.services)
         services[0] = replace(services[0], **{name: value})
-        config, path = replace(config, services=tuple(services)), f"services[0].{name}"
+        config = replace(config, services=tuple(services))
+        path = f"services.case_management.{name}"
     else:
         config, path = replace(config, **{name: value}), name
     if isinstance(value, float):
@@ -528,7 +561,7 @@ def test_config_rejects_reserved_service_names(name):
     services = list(ScenarioConfig().services)
     services[4] = replace(services[4], name=name)
     assert ScenarioConfig(services=tuple(services)).validation_errors() == [
-        f"services[4].name: {name!r} is reserved for the bed pool or a youth flow"]
+        f"services.{name}.name: {name!r} is reserved for the bed pool or a youth flow"]
 
 
 def test_invalid_window_rejected():
@@ -568,6 +601,9 @@ def test_config_built_in_python_is_checked_like_json(path, value):
     config = _config_with(path, value)
     errors = config.validation_errors()
     assert errors
+    # The first service goes by its key, unless its name is what is wrong.
+    if not path.endswith(".name"):
+        path = path.replace("services[0].", "services.case_management.")
     assert all(error.startswith(path) for error in errors), errors
     with pytest.raises(ConfigError):
         run_scenario(config)
@@ -636,3 +672,42 @@ def test_from_dict_accepts_or_rejects_cleanly(data):
         return
     assert isinstance(config.validation_errors(), list)
     assert ScenarioConfig.from_dict(config.to_dict()).digest() == config.digest()
+
+
+def _assert_service_paths_are_set_keys(data: dict) -> None:
+    try:
+        ScenarioConfig.from_dict(data)
+        return
+    except ConfigError as exc:
+        errors = exc.errors
+    for error in errors:
+        if error.startswith("services."):
+            key = error.rsplit(": ", 1)[0]  # no message holds ": "
+            probe, marker = copy.deepcopy(data), object()
+            set_field(probe, key, marker)
+            [entry] = [data["services"][i] for i, probed in enumerate(probe["services"])
+                       if isinstance(probed, dict) and marker in probed.values()]
+            with pytest.raises(ConfigError) as alone:
+                ScenarioConfig.from_dict({"services": [entry]})
+            assert error in alone.value.errors
+        elif error.startswith("services["):
+            # By its index, a service that a key could name is a later one
+            # of its name.
+            i = int(error.removeprefix("services[").partition("]")[0])
+            entry = data["services"][i]
+            name = entry.get("name") if isinstance(entry, dict) else None
+            if isinstance(name, str) and name and not any("." in key for key in [name, *entry]):
+                assert any(isinstance(earlier, dict) and earlier.get("name") == name
+                           for earlier in data["services"][:i])
+
+
+@given(config_dicts)
+@settings(max_examples=300, deadline=None)
+def test_service_error_paths_are_set_keys(data):
+    # An error names a service by a key where ``set_field`` reaches it: the
+    # key sets a field of the entry the error is about, and that entry alone,
+    # in an otherwise default config, gives the same error. The services are
+    # also checked alone, where no other field's error hides theirs.
+    _assert_service_paths_are_set_keys(data)
+    if "services" in data:
+        _assert_service_paths_are_set_keys({"services": data["services"]})

@@ -18,14 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from sheltersim.cli import print_summary_table, write_scenario_csv, write_sweep_csv
-from sheltersim.experiment import (
-    STREAM_NAMES,
-    ScenarioConfig,
-    build_streams,
-    run_replication,
-    run_scenario,
-    sweep,
-)
+from sheltersim.config import ScenarioConfig
+from sheltersim.experiment import STREAM_NAMES, build_streams, run_replication, run_scenario, sweep
 from sheltersim.model import draw_population
 from sheltersim.streams import RngStream
 from support import mini_config

@@ -6,16 +6,15 @@ import re
 
 import pytest
 
+from sheltersim.config import ServiceSpec, default_services
 from sheltersim.distributions import sample_triangular
 from sheltersim.experiment import build_streams, run_replication
 from sheltersim.model import (
     LOS_SERVICE_ONLY,
     Population,
-    ServiceSpec,
     ShelterModel,
     assign_attributes,
     build_needs_profile,
-    default_services,
     draw_population,
 )
 from sheltersim.kernel import Simulator
@@ -301,7 +300,7 @@ def test_conservation_after_drain():
 def test_bed_renege_exit_fraction_matches_coin():
     # Pooled over replications, the share of bed-queue abandoners who exit
     # outright sits inside the 3-sigma binomial band around 0.25.
-    from sheltersim.experiment import ScenarioConfig
+    from sheltersim.config import ScenarioConfig
 
     exits = stays = 0
     for rep in range(4):

@@ -6,9 +6,10 @@ import tracemalloc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sheltersim.config import ServiceSpec
 from sheltersim.distributions import ExponentialParams, sample_exponential
 from sheltersim.experiment import build_streams
-from sheltersim.model import DAYS_PER_YEAR, WINDOW, ServiceSpec, draw_population
+from sheltersim.model import DAYS_PER_YEAR, WINDOW, draw_population
 from support import reference_population
 from test_golden import POPULATION_COLUMNS
 

@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from sheltersim.experiment import ScenarioConfig, run_replication, run_scenario
+from sheltersim.config import ScenarioConfig
+from sheltersim.experiment import run_replication, run_scenario
 from sheltersim.model import (
     BED_RESOURCE,
     DAYS_PER_YEAR,
