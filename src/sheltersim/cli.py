@@ -140,17 +140,14 @@ def write_sweep_csv(fh, parameter: str, results: list[tuple[float, ScenarioSumma
         writer.writerows({**row, parameter: value} for row in _rows(summary))
 
 
-def _file_sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def write_manifest(args, config: ScenarioConfig, swept: dict) -> str:
     """Write the manifest of the command ``args`` beside its ``args.out``.
     ``swept`` names a sweep's parameter and values, and is empty for any
     other command."""
     out_path = args.out
     manifest_path = out_path + MANIFEST_SUFFIX
+    with open(out_path, "rb") as fh:
+        sha256 = hashlib.sha256(fh.read()).hexdigest()
     manifest = {
         "tool": "sheltersim",
         "version": __version__,
@@ -163,7 +160,7 @@ def write_manifest(args, config: ScenarioConfig, swept: dict) -> str:
         "outputs": [os.path.abspath(out_path)],
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "output_sha256": {os.path.abspath(out_path): _file_sha256(out_path)},
+        "output_sha256": {os.path.abspath(out_path): sha256},
     }
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)

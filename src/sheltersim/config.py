@@ -105,14 +105,19 @@ def field_errors(spec, path: str = "") -> list[str]:
     return errors
 
 
+def spellable(name) -> bool:
+    """Whether a key segment can spell ``name``: ``set_field`` splits keys at
+    dots, ``--set`` at the first ``=``, and no segment is empty."""
+    return isinstance(name, str) and name != "" and "." not in name and "=" not in name
+
+
 def entry_paths(path: str, names: list) -> list[str]:
     """Each entry's prefix in error messages, given the entries' ``names``:
     ``<path>.<name>.``, the key ``set_field`` reaches it by, for the first
-    entry of each name a key can spell (a non-empty string with no dot),
-    else ``<path>[<i>].``."""
+    entry of each ``spellable`` name, else ``<path>[<i>].``."""
     prefixes, keyed = [], set()
     for i, name in enumerate(names):
-        if isinstance(name, str) and name and "." not in name and name not in keyed:
+        if spellable(name) and name not in keyed:
             keyed.add(name)
             prefixes.append(f"{path}.{name}.")
         else:
@@ -250,9 +255,9 @@ def _from_data(kind, value, path: str, errors: list[str]):
     ``as_declared``), for ``field_errors`` to judge. A bad object goes to
     ``errors``, prefixed with ``path``; the result is then meaningless."""
     if get_origin(kind) is tuple and isinstance(value, list):
-        # An entry with a dotted key, which no key reaches, goes by its index.
-        names = [entry.get("name") if isinstance(entry, dict)
-                 and not any("." in str(key) for key in entry) else None for entry in value]
+        # An entry with a key no key segment spells goes by its index.
+        names = [entry.get("name") if isinstance(entry, dict) and all(map(spellable, entry))
+                 else None for entry in value]
         return tuple(_from_data(get_args(kind)[0], entry, entry_path, errors)
                      for entry, entry_path in zip(value, entry_paths(path, names)))
     if not is_dataclass(kind):
@@ -261,7 +266,7 @@ def _from_data(kind, value, path: str, errors: list[str]):
         errors.append(f"{path.rstrip('.') or 'config'}: must be an object")
         return None
     kinds = type_hints(kind)
-    if unknown := sorted(set(value) - set(kinds)):
+    if unknown := sorted(set(value) - set(kinds), key=str):
         errors.extend(f"{path}{key}: unknown field" for key in unknown)
         return None
     return kind(**{key: _from_data(kinds[key], entry, f"{path}{key}", errors)

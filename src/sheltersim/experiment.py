@@ -244,12 +244,12 @@ def sweep(config: ScenarioConfig, parameter: str, values: list[float],
     if pairs > MAX_GRID_PAIRS:
         raise ConfigError([f"values x replications: {pairs:,} (value, replication) "
                            f"pairs, above the limit of {MAX_GRID_PAIRS:,}"])
-    repeated = [value for value, count in Counter(values).items() if count > 1]
-    if repeated:
+    if repeated := [value for value, count in Counter(values).items() if count > 1]:
         raise ConfigError([f"values: {value} is repeated" for value in repeated])
-    data, swept, errors = config.to_dict(), [], []
+    swept, errors = [], []
     for value in values:
-        set_field(data, parameter, value)
+        data = config.to_dict()
+        set_field(data, parameter, value)  # a bad key fails alike for every value
         try:
             swept.append(ScenarioConfig.from_dict(data))
         except ConfigError as exc:

@@ -162,6 +162,16 @@ class Population:
 WINDOW = 512
 
 
+def _record_starts(ends: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """The starts of ``n`` back-to-back draw records, the first at 0 and the
+    next after one at j at ``ends[j]``, and the draws the ``n`` records use."""
+    ends, starts, j = memoryview(ends), [], 0
+    for _ in range(n):
+        starts.append(j)
+        j = ends[j]
+    return np.array(starts, dtype=np.intp), j
+
+
 def assign_attributes(population: Population, n: int, bsy_fraction: float,
                       age_16_20_fraction: float, renege_exit_prob: float,
                       u: np.ndarray) -> np.ndarray:
@@ -175,13 +185,7 @@ def assign_attributes(population: Population, n: int, bsy_fraction: float,
     is part of the reproducibility contract.
     """
     # Each youth starts 6 draws after a bed seeker and 3 after anyone else.
-    coins = (u < bsy_fraction).tobytes()
-    starts = []
-    j = 0
-    for _ in range(n):
-        starts.append(j)
-        j += 6 if coins[j] else 3
-    at = np.array(starts, dtype=np.intp)
+    at, used = _record_starts(np.arange(3, len(u) + 3) + 3 * (u < bsy_fraction), n)
     bed = u[at] < bsy_fraction
     young = bed & (u[at + 1] < age_16_20_fraction)
     exits = bed & (u[at + 4] < renege_exit_prob)
@@ -197,7 +201,7 @@ def assign_attributes(population: Population, n: int, bsy_fraction: float,
         np.where(bed, triangular_array(BED_PATIENCE, u[at + 3]), 0.0).tobytes())
     population.service_patience.frombytes(
         triangular_array(SERVICE_PATIENCE, u[at + np.where(bed, 5, 2)]).tobytes())
-    return u[j:]
+    return u[used:]
 
 
 def build_needs_profile(specs: list[ServiceSpec], n: int,
@@ -215,13 +219,7 @@ def build_needs_profile(specs: list[ServiceSpec], n: int,
     for spec in specs:
         ends += 1
         ends += u[ends - 1] < spec.request_prob
-    ends = memoryview(ends)
-    starts = []
-    j = 0
-    for _ in range(n):
-        starts.append(j)
-        j = ends[j]
-    at = np.array(starts, dtype=np.intp)
+    at, used = _record_starts(ends, n)
     profile = np.zeros((n, len(specs)), dtype=np.int64)
     for k, spec in enumerate(specs):
         demand = u[at] < spec.request_prob
@@ -229,7 +227,7 @@ def build_needs_profile(specs: list[ServiceSpec], n: int,
         profile[:, k] = np.where(demand, counts, 0)
         at += 1
         at += demand
-    return profile, u[j:]
+    return profile, u[used:]
 
 
 def _topped_up(rest: np.ndarray, stream: RngStream, size: int) -> np.ndarray:

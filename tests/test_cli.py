@@ -115,6 +115,32 @@ def test_reserved_service_name_exits_2_without_outputs(tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ("replications=0", "replications: must be within [1, 100,000], got 0"),
+    ("services.medical.capacity_units=0",
+     "services.medical.capacity_units: must be within [1, 1,000,000,000], got 0"),
+])
+def test_value_outside_its_range_names_the_range(assignment, message, capsys):
+    assert run_cli("validate", "--set", assignment) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_a_service_whose_name_or_key_holds_equals_goes_by_its_index(tmp_path, capsys):
+    # ``--set`` splits at the first ``=``, so ``services.a=b.capacity_units=1``
+    # looks for a service named "a": an entry whose name or key holds ``=``
+    # goes by its index, as one with a dot does.
+    path = tmp_path / "scenario.json"
+    for entry, message in [
+            ({"name": "a=b", "capacity_units": 0},
+             "services[0].capacity_units: must be within [1, 1,000,000,000], got 0"),
+            ({"name": "a", "capacity_units": 1, "b=c": 1}, "services[0].b=c: unknown field")]:
+        path.write_text(json.dumps({"services": [entry]}))
+        assert run_cli("validate", "--config", str(path)) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert run_cli("validate", "--set", "services.a=b.capacity_units=1") == 2
+    assert capsys.readouterr().err == "config error: services.a: no service named 'a'\n"
+
+
 def test_unknown_set_path_exits_2(capsys):
     assert run_cli("validate", "--set", "beds=81") == 2
     assert run_cli("validate", "--set", "services.yoga.capacity_units=3") == 2
@@ -245,6 +271,17 @@ def test_swept_value_fails_as_its_set_does(tmp_path, capsys):
                    "--out", str(out), *FAST_OVERRIDES) == 2
     assert capsys.readouterr().err == set_error.replace(
         "config error: ", "config error: age_16_20_fraction=1.5: ", 1)
+    assert not out.exists()
+
+
+def test_each_swept_value_is_set_on_the_config_as_given(tmp_path, capsys):
+    # Value 1 fails as a name, and must not rename the service value 2 sets.
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--param", "services.case_management.name", "--values", "1,2",
+                   "--out", str(out), *FAST_OVERRIDES) == 2
+    assert capsys.readouterr().err == "".join(
+        f"config error: services.case_management.name={value}: services[0].name: "
+        "must be a string\n" for value in (1, 2))
     assert not out.exists()
 
 
@@ -480,11 +517,12 @@ def _modules_after_serial_simulate(tmp_path) -> list[str]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def _run_python(*args) -> subprocess.CompletedProcess:
-    """A fresh interpreter with ``args``, run from the checkout root with
-    its ``src`` first on the import path."""
+def _run_python(*args, **env) -> subprocess.CompletedProcess:
+    """A fresh interpreter with ``args`` and the variables ``env`` added to
+    its environment, run from the checkout root with its ``src`` first on
+    the import path."""
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True,
                           text=True, timeout=120)
@@ -497,6 +535,21 @@ def _run_python(*args) -> subprocess.CompletedProcess:
 def test_python_m_sheltersim_exits_with_the_cli_code(argv, code):
     done = _run_python("-m", "sheltersim", *argv)
     assert done.returncode == code, done.stderr
+
+
+def test_two_worker_sweep_csv_does_not_depend_on_the_hash_seed(tmp_path):
+    # Two workers pickle run_replication by name through the module entry;
+    # no output byte may follow the interpreter's string hashing.
+    outputs = []
+    for hashseed in ("1", "2"):
+        out = tmp_path / f"sweep_{hashseed}.csv"
+        done = _run_python("-m", "sheltersim", "sweep", "--config", "configs/baseline.json",
+                           "--param", "bed_capacity", "--values", "66,71", "--reps", "1",
+                           "--jobs", "2", "--out", str(out), PYTHONHASHSEED=hashseed)
+        assert done.returncode == 0, done.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 1 + 2 * (6 + 8)
 
 
 def test_cli_run_never_imports_scipy(tmp_path):

@@ -446,6 +446,18 @@ def test_config_rejects_unknown_fields():
     assert "bed_capactiy" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("data, errors", [
+    ({1: 2, "a": 3}, ["1: unknown field", "a: unknown field"]),
+    ({"services": [{"name": "x", 1: 2, "a": 3}]},
+     ["services[0].1: unknown field", "services[0].a: unknown field"]),
+])
+def test_keys_of_mixed_types_are_unknown_fields(data, errors):
+    # Only a config built in Python has keys that are not strings.
+    with pytest.raises(ConfigError) as excinfo:
+        ScenarioConfig.from_dict(data)
+    assert excinfo.value.errors == errors
+
+
 def test_config_validation_reports_field_paths():
     cfg = ScenarioConfig(bsy_fraction=1.3)
     errors = cfg.validation_errors()
@@ -683,6 +695,7 @@ def _assert_service_paths_are_set_keys(data: dict) -> None:
     for error in errors:
         if error.startswith("services."):
             key = error.rsplit(": ", 1)[0]  # no message holds ": "
+            assert "=" not in key  # --set splits at the first "="
             probe, marker = copy.deepcopy(data), object()
             set_field(probe, key, marker)
             [entry] = [data["services"][i] for i, probed in enumerate(probe["services"])
@@ -695,9 +708,10 @@ def _assert_service_paths_are_set_keys(data: dict) -> None:
             # of its name.
             i = int(error.removeprefix("services[").partition("]")[0])
             entry = data["services"][i]
-            name = entry.get("name") if isinstance(entry, dict) else None
-            if isinstance(name, str) and name and not any("." in key for key in [name, *entry]):
-                assert any(isinstance(earlier, dict) and earlier.get("name") == name
+            if isinstance(entry, dict) and all(
+                    isinstance(key, str) and key and not {".", "="} & set(key)
+                    for key in [entry.get("name"), *entry]):
+                assert any(isinstance(earlier, dict) and earlier.get("name") == entry["name"]
                            for earlier in data["services"][:i])
 
 
