@@ -72,8 +72,6 @@ class ResourceSummary:
     renege_pct_ci: float | None
 
 
-# The resource metrics with a half-width: each the ``stats.estimate`` of the
-# ``ResourceWindowStats`` attribute of the same name over the replications.
 ESTIMATED_METRICS = tuple(f.name.removesuffix("_ci") for f in fields(ResourceSummary)
                           if f.name.endswith("_ci"))
 
@@ -149,20 +147,29 @@ def run_replication(config: ScenarioConfig, replication: int,
     return stats
 
 
+def metric_columns(reps: list[ReplicationStats]) -> dict[str, list]:
+    """Each metric's values in replication order, ``None`` where undefined:
+    per pool in record order, ``<pool>.<field>`` for each ``ResourceWindowStats``
+    field and ``renege_pct``; then each flow, keyed by its ``FlowCounters`` field.
+    A field holds no dot, so a key's pool is all before its last dot; no flow key has one."""
+    names = [*(f.name for f in fields(ResourceWindowStats)), "renege_pct"]
+    columns = {f"{pool}.{name}": [getattr(r.resources[pool], name) for r in reps]
+               for pool in (reps[0].resources if reps else ()) for name in names}
+    return columns | {name: [getattr(r, name) for r in reps] for name in FLOW_LABELS}
+
+
 def summarize(reps: list[ReplicationStats]) -> ScenarioSummary:
-    """Aggregate replication records into a scenario summary."""
-    resource_names = list(reps[0].resources) if reps else []
+    """Aggregate replication records into a scenario summary, by their columns."""
+    columns = metric_columns(reps)
     resources = {}
-    for name in resource_names:
-        per_rep = [r.resources[name] for r in reps]
-        values = {"max_wait": max((s.max_wait for s in per_rep if s.max_wait is not None),
-                                  default=None)}
+    for pool in dict.fromkeys(key.rpartition(".")[0] for key in columns if "." in key):
+        waits = [v for v in columns[f"{pool}.max_wait"] if v is not None]
+        values = {"max_wait": max(waits, default=None)}
         for metric in ESTIMATED_METRICS:
-            values[metric], values[f"{metric}_ci"] = estimate(
-                getattr(s, metric) for s in per_rep)
-        resources[name] = ResourceSummary(**values)
-    flows = {name: estimate(getattr(r, name) for r in reps) for name in FLOW_LABELS}
-    return ScenarioSummary(resources=resources, flows=flows, replications=reps)
+            values[metric], values[f"{metric}_ci"] = estimate(columns[f"{pool}.{metric}"])
+        resources[pool] = ResourceSummary(**values)
+    return ScenarioSummary(resources=resources, replications=reps,
+                           flows={name: estimate(columns[name]) for name in FLOW_LABELS})
 
 
 def available_cpus() -> int:
@@ -200,11 +207,14 @@ def _run_grid(configs: list[ScenarioConfig], jobs: int) -> list[list[Replication
     pairs = len(grid_reps)
     workers = worker_count(jobs, pairs, available_cpus())
     if workers > 1:
-        chunksize = min(width * max(1, reps // (4 * workers)), -(-pairs // workers))
+        chunk = min(width * max(1, reps // (4 * workers)), -(-pairs // workers))
         executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-        with executor(max_workers=workers) as pool:
-            stats = list(pool.map(run_replication, grid_configs, grid_reps,
-                                  chunksize=chunksize))
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            with executor(max_workers=workers) as pool:
+                stats = list(pool.map(run_replication, grid_configs, grid_reps, chunksize=chunk))
+        except BrokenProcessPool as exc:  # a worker was killed, e.g. out of memory
+            raise ChildProcessError(f"a worker process exited abruptly: {exc}") from exc
     else:
         stats = list(map(run_replication, grid_configs, grid_reps))
     return [stats[i::width] for i in range(width)]

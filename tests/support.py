@@ -1,10 +1,11 @@
 """Shared helpers for the test suite: a small scaled-down scenario, scripted
 youth construction, the per-youth reference draw of a population, trace
-filters and window counts, strategies for fuzzing configs, and reusable
-statistical checks."""
+filters and window counts, the bed pool recomputed without the calendar,
+strategies for fuzzing configs, and reusable statistical checks."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 
@@ -175,6 +176,44 @@ def window_counts(trace: list, pools, start: float, end: float) -> tuple[dict, d
         "still_queued": still_queued[pool],
         "avg_wait": _total(waits[pool]) / len(waits[pool]) if waits[pool] else None,
         "max_wait": max(waits[pool], default=None)} for pool in pools}
+
+
+def bed_pool_counts(population: Population, beds: int, start: float, end: float) -> dict:
+    """The bed pool's ``POOL_COUNTS`` over the window (start, end], from the
+    population alone: no calendar, no queue.
+
+    A bed holder leaves at exactly arrival + stay, since a stay is at least
+    30 days and bed plus service patience at most 21. So the pool is a
+    first-come-first-served queue of ``beds`` servers with impatient
+    customers, and a heap of the times at which beds come free gives each
+    bed seeker, in arrival order, the time a bed would take them.
+    """
+    free = [0.0] * beds  # a heap
+    requests, reneges, still_queued, grants = 0, 0, 0, []
+    for i, arrival in enumerate(population.times):
+        if arrival > end:
+            break
+        if not population.bed_seeking[i]:
+            continue
+        granted = max(arrival, free[0])
+        deadline = arrival + population.bed_patience[i]
+        if granted <= deadline:
+            heapq.heapreplace(free, arrival + population.length_of_stay[i])
+        if arrival <= start:
+            continue
+        requests += 1
+        if min(granted, deadline) > end:
+            still_queued += 1
+        elif granted <= deadline:
+            grants.append((granted, granted - arrival))
+        else:
+            reneges += 1
+    # In grant order, as the pool sums them; a tie is granted first come first served.
+    waits = [wait for _, wait in sorted(grants, key=lambda grant: grant[0])]
+    return {"requests": requests, "served": len(waits), "reneges": reneges,
+            "still_queued": still_queued,
+            "avg_wait": _total(waits) / len(waits) if waits else None,
+            "max_wait": max(waits, default=None)}
 
 
 # The names of the bed pool's and the flows' rows, which no service may take.

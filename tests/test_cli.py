@@ -5,6 +5,7 @@ import argparse
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -550,6 +551,34 @@ def test_two_worker_sweep_csv_does_not_depend_on_the_hash_seed(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == 1 + 2 * (6 + 8)
+
+
+# A fresh interpreter whose workers die on their first replication, as when
+# the operating system's out-of-memory killer ends them; argv follows.
+_DYING_WORKERS = """
+import functools, os, sys
+from sheltersim import cli, experiment
+
+@functools.wraps(experiment.run_replication)
+def dies(*args):
+    os._exit(9)
+
+experiment.run_replication = dies
+experiment.available_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers must inherit the patched module")
+def test_dead_worker_exits_3_without_a_traceback(tmp_path):
+    out = tmp_path / "out.csv"
+    done = _run_python("-c", _DYING_WORKERS, "simulate", "--reps", "4", "--jobs", "2",
+                       "--out", str(out))
+    assert done.returncode == 3, done.stderr
+    assert "error: a worker process exited abruptly" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_run_never_imports_scipy(tmp_path):

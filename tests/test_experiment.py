@@ -10,19 +10,23 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sheltersim import experiment
 from sheltersim.config import (
     MAX_CAPACITY_UNITS,
     MAX_EXPECTED_ARRIVALS,
     MAX_GRID_PAIRS,
+    RESERVED_NAMES,
     ConfigError,
     ScenarioConfig,
     ServiceSpec,
     set_field,
 )
 from sheltersim.experiment import (
+    ResourceSummary,
     build_streams,
+    metric_columns,
     replication_population,
     run_replication,
     run_scenario,
@@ -30,9 +34,17 @@ from sheltersim.experiment import (
     sweep,
     worker_count,
 )
+from sheltersim.kernel import ResourceWindowStats
 from sheltersim.model import BED_RESOURCE, DAYS_PER_YEAR, FLOW_LABELS
 from sheltersim.stats import _total, estimate, t_quantile
-from support import POOL_COUNTS, arrival_log, config_dicts, mini_config, window_counts
+from support import (
+    POOL_COUNTS,
+    arrival_log,
+    bed_pool_counts,
+    config_dicts,
+    mini_config,
+    window_counts,
+)
 
 
 def test_replication_is_deterministic():
@@ -60,11 +72,16 @@ def test_traced_runs_are_bit_identical():
 def _assert_record_follows_from_trace(config: ScenarioConfig, replication: int) -> None:
     trace: list = []
     stats = run_replication(config, replication, trace)
-    flows, pools = window_counts(trace, stats.resources, config.warmup_days,
-                                 config.warmup_days + config.stats_window_days)
+    start, end = config.warmup_days, config.warmup_days + config.stats_window_days
+    flows, pools = window_counts(trace, stats.resources, start, end)
     assert flows == {name: getattr(stats, name) for name in FLOW_LABELS}
     assert pools == {name: {key: getattr(window, key) for key in POOL_COUNTS}
                      for name, window in stats.resources.items()}
+    # The bed pool's counts also follow from the population alone, by a
+    # recursion that shares neither the calendar nor the queue with the run.
+    population = replication_population(config, replication,
+                                        build_streams(config.master_seed, replication))
+    assert bed_pool_counts(population, config.bed_capacity, start, end) == pools[BED_RESOURCE]
 
 
 @pytest.mark.parametrize("replication", range(3))
@@ -72,6 +89,14 @@ def test_baseline_record_follows_from_its_trace(replication):
     # Every count and wait of the record, all but utilization, is
     # recomputed from the trace alone.
     _assert_record_follows_from_trace(ScenarioConfig(), replication)
+
+
+@pytest.mark.parametrize("bed_capacity", [40, 81, 106])
+@pytest.mark.parametrize("replication", range(3))
+def test_record_follows_from_its_trace_under_more_or_less_bed_contention(bed_capacity,
+                                                                          replication):
+    _assert_record_follows_from_trace(replace(ScenarioConfig(), bed_capacity=bed_capacity),
+                                      replication)
 
 
 @given(config_dicts)
@@ -155,11 +180,56 @@ def test_single_replication_summary_has_no_ci():
 def test_summary_means_lie_within_replication_extremes():
     cfg = mini_config(replications=5)
     summary = run_scenario(cfg)
+    columns = metric_columns(summary.replications)
     for name, res in summary.resources.items():
-        values = [r.resources[name].avg_wait for r in summary.replications
-                  if r.resources[name].avg_wait is not None]
+        values = [v for v in columns[f"{name}.avg_wait"] if v is not None]
         if values and res.avg_wait is not None:
             assert min(values) <= res.avg_wait <= max(values)
+
+
+# The fields of a pool's record that are metric columns.
+WINDOW_METRICS = [*(f.name for f in fields(ResourceWindowStats)), "renege_pct"]
+
+# Service names a config accepts, among them names with dots and the field
+# names of flows.
+accepted_names = st.lists(
+    st.sampled_from(list(FLOW_LABELS)) | st.text(".a", min_size=1, max_size=4)
+    | st.text(min_size=1, max_size=8), min_size=1, max_size=6, unique=True,
+).filter(lambda names: not set(names) & set(RESERVED_NAMES))
+
+
+@given(accepted_names)
+@settings(max_examples=50, deadline=None)
+def test_every_metric_key_names_one_column(names):
+    config = mini_config(annual_arrivals=40.0, warmup_days=10.0, stats_window_days=60.0,
+                         services=tuple(ServiceSpec(name, 3, 0.5, 1, 2) for name in names))
+    config.validate()
+    reps = [run_replication(config, rep) for rep in range(2)]
+    columns = metric_columns(reps)
+    pools = [BED_RESOURCE, *names]
+    assert len(columns) == len(pools) * len(WINDOW_METRICS) + len(FLOW_LABELS)
+    for key, column in columns.items():
+        if "." in key:
+            pool, _, metric = key.rpartition(".")
+            assert pool in pools and metric in WINDOW_METRICS, key
+            assert column == [getattr(r.resources[pool], metric) for r in reps], key
+        else:
+            assert key in FLOW_LABELS
+            assert column == [getattr(r, key) for r in reps], key
+
+
+def test_summary_is_its_metric_columns_aggregated():
+    summary = run_scenario(mini_config(replications=5))
+    columns = metric_columns(summary.replications)
+    for pool, res in summary.resources.items():
+        for f in fields(ResourceSummary):
+            column = columns[f"{pool}.{f.name.removesuffix('_ci')}"]
+            mean, half_width = estimate(column)
+            if f.name == "max_wait":
+                mean = max((v for v in column if v is not None), default=None)
+            expected = half_width if f.name.endswith("_ci") else mean
+            assert getattr(res, f.name) == expected, (pool, f.name)
+    assert summary.flows == {name: estimate(columns[name]) for name in FLOW_LABELS}
 
 
 def test_estimate_known_value():
@@ -245,8 +315,7 @@ def test_crn_bed_reneges_monotone_in_capacity():
     per_capacity = []
     for cap in caps:
         summary = run_scenario(mini_config(replications=4, bed_capacity=cap))
-        per_capacity.append(
-            [r.resources["crisis_beds"].reneges for r in summary.replications])
+        per_capacity.append(metric_columns(summary.replications)["crisis_beds.reneges"])
     for rep in range(4):
         counts = [per_capacity[i][rep] for i in range(len(caps))]
         assert counts == sorted(counts, reverse=True)

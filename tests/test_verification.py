@@ -1,13 +1,16 @@
 """Verification: statistics the kernel accumulates inline, recomputed from
-nothing but the events a replication records, and occupancy checked against
-the queueing laws the pools must obey."""
+nothing but the events a replication records, and occupancy and abandonment
+checked against the queueing laws the pools must obey."""
 
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sheltersim.config import ScenarioConfig
 from sheltersim.experiment import run_replication, run_scenario
+from sheltersim.kernel import Resource, Simulator
 from sheltersim.model import (
     BED_RESOURCE,
     DAYS_PER_YEAR,
@@ -137,3 +140,52 @@ def test_littles_law_on_the_beds_holds_for_the_stay_less_the_wait():
     assert abs(mean) <= 3 * half_width, (mean, half_width)
     mean, half_width = estimate(gaps["stay"])
     assert abs(mean) > 3 * half_width, (mean, half_width)
+
+
+def erlang_a(lam: float, c: int, mu: float, theta: float,
+             states: int = 2000) -> tuple[float, float]:
+    """The abandonment fraction theta E[queue] / lam and the utilization
+    E[busy] / c of the M/M/c+M (Erlang-A) queue, from the stationary
+    distribution of its birth-death chain truncated at ``states`` states."""
+    weights = [1.0]
+    for n in range(1, states):
+        weights.append(weights[-1] * lam / (min(n, c) * mu + max(n - c, 0) * theta))
+    total = math.fsum(weights)
+    queue = math.fsum(max(n - c, 0) * w for n, w in enumerate(weights)) / total
+    busy = math.fsum(min(n, c) * w for n, w in enumerate(weights)) / total
+    return theta * queue / lam, busy / c
+
+
+def erlang_a_run(lam: float, c: int, mu: float, theta: float, seed: int,
+                 warmup: float, window: float) -> tuple[float, float]:
+    """One ``Resource`` of ``c`` units fed single-unit requests at Poisson
+    rate ``lam``, each holding its unit for an exponential time of rate
+    ``mu`` and abandoning after an exponential patience of rate ``theta``:
+    the window's abandonment fraction and utilization."""
+    rng = np.random.default_rng(seed)
+    sim = Simulator()
+    pool = Resource(sim, "pool", c)
+
+    def arrive(customer: int) -> None:
+        pool.request(customer, 1, rng.exponential(1 / theta), hold, lambda *_: None)
+        sim.schedule(sim.now + rng.exponential(1 / lam), arrive, customer + 1)
+
+    def hold(customer: int, pool: Resource, wait: float) -> None:
+        sim.schedule(sim.now + rng.exponential(1 / mu), pool.release, customer)
+
+    sim.schedule(rng.exponential(1 / lam), arrive, 0)
+    sim.run_until(warmup)
+    pool.reset_statistics()
+    sim.run_until(warmup + window)
+    stats = pool.window_stats()
+    return stats.reneges / stats.requests, stats.utilization
+
+
+@pytest.mark.parametrize("case", [(12, 10, 1, 0.5), (9, 10, 1, 2)])
+def test_resource_abandonment_and_utilization_match_erlang_a(case):
+    # Strict FIFO has a standard closed form for single-unit requests only.
+    runs = [erlang_a_run(*case, seed, warmup=100.0, window=1000.0) for seed in range(20)]
+    for quantity, exact, values in zip(("abandonment", "utilization"), erlang_a(*case),
+                                       zip(*runs)):
+        mean, half_width = estimate(values)
+        assert abs(mean - exact) <= 3 * half_width, (quantity, case, mean, half_width, exact)
