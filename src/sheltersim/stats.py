@@ -27,50 +27,35 @@ def estimate(values) -> tuple[float | None, float | None]:
 @lru_cache(maxsize=256)
 def t_quantile(p: float, df: float) -> float:
     """The ``p``-quantile of Student's t distribution with ``df`` degrees of
-    freedom, for 0.5 <= p < 1 and df > 0.
+    freedom, for 0.5 <= p < 1 and df >= 1.
 
-    Newton steps on log t against the log of a tail mass, from a
-    Cornish-Fisher starting value; each step evaluates the mass with the
+    Bisection on the tail mass: ``hi`` doubles from 1 until the quantile is
+    at most ``hi``, then the bracket halves until no float lies strictly
+    inside it, and ``hi`` is returned. Each step evaluates the mass with the
     continued fraction of the regularized incomplete beta function, whose
-    length does not grow with df. The result is within about 1e-14 relative
-    of the exact quantile at the 90-99.9% levels, for any df.
+    length does not grow with df. For df from 1 to 10^15 and p from 0.9 to
+    1 - 0.05/128 the result is within 1.5e-15 relative of the exact quantile,
+    and within 8e-15 of scipy's ``stdtrit``.
     """
-    if not (0.5 <= p < 1.0 and df > 0.0):
-        raise ValueError(f"t_quantile needs 0.5 <= p < 1 and df > 0, got p={p}, df={df}")
+    if not (0.5 <= p < 1.0 and df >= 1.0):
+        raise ValueError(f"t_quantile needs 0.5 <= p < 1 and df >= 1, got p={p}, df={df}")
     if p == 0.5:
         return 0.0
-    t = _cornish_fisher(1.0 - p, df)
-    if t <= 0.0:  # the start's normal quantile is off by up to 4.5e-4
-        t = p - 0.5
-    for _ in range(50):
-        mass, upper, density = _t_mass(t, df)
-        target = 1.0 - p if upper else p - 0.5
-        step = math.log(mass / target) * mass / (t * density)
-        t *= math.exp(step if upper else -step)
-        # Convergence is quadratic: once a step is below 1e-9 the error left
-        # is of order its square, far below double precision.
-        if abs(step) < 1e-9:
-            return t
-    raise ArithmeticError(f"t_quantile did not converge for p={p}, df={df}")
+
+    def beyond(t: float) -> bool:  # the quantile is at most t > 0
+        mass, upper = _t_mass(t, df)
+        return mass <= 1.0 - p if upper else mass >= p - 0.5
+
+    lo, hi = 0.0, 1.0
+    while not beyond(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if beyond(mid) else (mid, hi)
+    return hi
 
 
-def _cornish_fisher(q: float, df: float) -> float:
-    """Approximate upper-q point of Student's t: the normal quantile of
-    Abramowitz & Stegun 26.2.23 (error < 4.5e-4) corrected by the
-    Cornish-Fisher series in 1/df of A&S 26.7.5."""
-    s = math.sqrt(-2.0 * math.log(q))
-    z = s - (2.515517 + s * (0.802853 + s * 0.010328)) / (
-        1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308)))
-    z2 = z * z
-    g1 = (z2 + 1.0) * z / 4.0
-    g2 = ((5.0 * z2 + 16.0) * z2 + 3.0) * z / 96.0
-    g3 = (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) * z / 384.0
-    g4 = ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) * z / 92160.0
-    return z + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
-
-
-def _t_mass(t: float, df: float) -> tuple[float, bool, float]:
-    """``(mass, upper, density)`` of Student's t at ``t > 0``.
+def _t_mass(t: float, df: float) -> tuple[float, bool]:
+    """``(mass, upper)`` of Student's t at ``t > 0``.
 
     ``mass`` is the upper tail P(T > t) when ``upper``, else the central
     part P(0 < T < t); whichever is returned is the one computed without
@@ -83,10 +68,9 @@ def _t_mass(t: float, df: float) -> tuple[float, bool, float]:
     inv_beta = math.sqrt(a / math.pi) * _half_gamma_ratio(a)  # 1 / B(a, 1/2)
     x_pow_a = math.exp(-a * math.log1p(t2 / df))
     front = x_pow_a * math.sqrt(y) * inv_beta
-    density = x_pow_a * math.sqrt(x) * inv_beta / math.sqrt(df)
     if x < (a + 1.0) / (a + 2.5):
-        return 0.5 * front * _beta_fraction(a, 0.5, x, y) / a, True, density
-    return front * _beta_fraction(0.5, a, y, x), False, density
+        return 0.5 * front * _beta_fraction(a, 0.5, x, y) / a, True
+    return front * _beta_fraction(0.5, a, y, x), False
 
 
 def _half_gamma_ratio(a: float) -> float:

@@ -36,7 +36,7 @@ from sheltersim.experiment import (
 )
 from sheltersim.kernel import ResourceWindowStats
 from sheltersim.model import BED_RESOURCE, DAYS_PER_YEAR, FLOW_LABELS
-from sheltersim.stats import _total, estimate, t_quantile
+from sheltersim.stats import _t_mass, _total, estimate, t_quantile
 from support import (
     POOL_COUNTS,
     arrival_log,
@@ -277,9 +277,23 @@ def test_t_quantile_closed_forms_and_domain():
         assert t_quantile(p, 2) == pytest.approx(
             (2 * p - 1) / math.sqrt(2 * p * (1 - p)), rel=1e-13)
     assert t_quantile(0.5, 7) == 0.0
-    for p, df in ((0.4, 5), (1.0, 5), (0.9, 0)):
+    # Below df = 1 the tail mass overflows or divides by zero far out.
+    for p, df in ((0.4, 5), (1.0, 5), (0.9, 0), (0.975, 0.5)):
         with pytest.raises(ValueError):
             t_quantile(p, df)
+
+
+@given(st.floats(min_value=0.5, max_value=1 - 1e-12, exclude_min=True, exclude_max=True),
+       st.integers(min_value=1, max_value=100_000) | st.floats(min_value=1.0, max_value=1e7))
+@settings(max_examples=200, deadline=None)
+def test_t_quantile_is_the_first_float_past_its_tail_mass_crossing(p, df):
+    def beyond(t):
+        mass, upper = _t_mass(t, df)
+        return mass <= 1 - p if upper else mass >= p - 0.5
+
+    t = t_quantile(p, df)
+    assert beyond(t)
+    assert not beyond(math.nextafter(t, 0.0))
 
 
 def test_warmup_loads_the_system():

@@ -16,6 +16,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sheltersim.cli import print_summary_table, write_scenario_csv, write_sweep_csv
 from sheltersim.config import ScenarioConfig
@@ -38,6 +39,8 @@ FLOAT_SWEEP_SHA256 = "317e51fa0f2cf71a4b246836de9194dc176c5a2245df3f952751c0e2a5
 SUMMARY_SHA256 = "f32036ea504e531b3147059329c9c949b56db3bf01bebf258d68197f2a5ea19f"
 # The stdout tables of that simulate and of that sweep, in that order.
 TABLES_SHA256 = "ad5a76b4e03c5e2cce83da38cc20113b0f08359a84ce2d2aaf1d9424143f10cb"
+# The summary of two replications, whose every half-width uses t(0.975, df = 1).
+SUMMARY_DF1_SHA256 = "d3f536cb3ace8bd95c8c832123396b42ff2620b217898e5d422a7923cb95321b"
 
 # ``repr((stats, trace))`` of replications 0-3 of configs/baseline.json at
 # each bed capacity, with the stay redraw off and on, fed to one hash in
@@ -98,12 +101,14 @@ def test_float_sweep_csv_digest():
     assert _sha256(buf.getvalue()) == FLOAT_SWEEP_SHA256, _provenance("float sweep CSV")
 
 
-def test_summary_digest():
-    summary = run_scenario(mini_config(replications=3))
+@pytest.mark.parametrize("replications, expected", [(3, SUMMARY_SHA256), (2, SUMMARY_DF1_SHA256)],
+                         ids=["df2", "df1"])
+def test_summary_digest(replications, expected):
+    summary = run_scenario(mini_config(replications=replications))
     text = json.dumps({"resources": {pool: asdict(res)
                                      for pool, res in summary.resources.items()},
                        "flows": summary.flows}, sort_keys=True)
-    assert _sha256(text) == SUMMARY_SHA256, _provenance("summary")
+    assert _sha256(text) == expected, _provenance("summary")
 
 
 def test_printed_tables_digest():
