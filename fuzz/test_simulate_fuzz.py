@@ -1,8 +1,9 @@
 """Run what the config fuzz accepts: every config drawn like those of
 ``test_from_dict_accepts_or_rejects_cleanly`` goes through ``simulate`` with
 one replication, and must either write a non-empty CSV whose rows each have
-a name of their own (exit 0) or be rejected without one (exit 2), never
-raise.
+a name of their own and whose pool rows hold percentages in [0, 100] and an
+average wait no longer than the maximum (exit 0), or be rejected without
+one (exit 2), never raise.
 
 About six drawn configs in ten are valid, so 1000 examples run about 600
 replications, each drawing its population and running the kernel on a
@@ -19,6 +20,7 @@ import tempfile
 from hypothesis import given, settings
 
 from sheltersim.cli import main
+from sheltersim.model import FLOW_LABELS
 from support import config_dicts
 
 
@@ -33,9 +35,17 @@ def test_simulate_runs_or_rejects_every_config(data):
         code = main(["simulate", "--config", config, "--reps", "1", "--out", out])
         if code == 0:
             with open(out, newline="", encoding="utf-8") as fh:
-                names = [row["name"] for row in csv.DictReader(fh)]
+                rows = list(csv.DictReader(fh))
+            names = [row["name"] for row in rows]
             assert names
             assert len(set(names)) == len(names), names
+            for row in rows[:-len(FLOW_LABELS)]:
+                cells = {key: float(value) for key, value in row.items()
+                         if key != "name" and value != ""}
+                for key in ("pct_reneged", "utilization_pct"):
+                    assert 0 <= cells.get(key, 0) <= 100, row
+                if "avg_wait_days" in cells:
+                    assert cells["avg_wait_days"] <= cells["max_wait_days"], row
         else:
             assert code == 2
             assert not os.path.exists(out)

@@ -12,23 +12,31 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .config import MAX_GRID_PAIRS, ConfigError, ScenarioConfig, set_field
-from .experiment import ResourceSummary, ScenarioSummary, run_scenario, sweep
+from .experiment import ScenarioSummary, run_scenario, sweep
 from .model import FLOW_LABELS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# The ``ResourceSummary`` fields the CSV shows, in column order.
-_SHOWN = tuple(f for f in fields(ResourceSummary) if f.metadata)
-RESOURCE_COLUMNS = ("name", *(f.metadata["label"] for f in _SHOWN), "value")
+# The CSV's pool columns in order: label, the pool's metric (the field of a
+# ``<pool>.<field>`` key), its statistic, decimals and scale. "mean" and
+# "half_width" read the key's estimate; "max" is the largest value over the
+# replications.
+POOL_COLUMNS = (
+    ("avg_wait_days", "avg_wait", "mean", 2, 1.0),
+    ("max_wait_days", "max_wait", "max", 2, 1.0),
+    ("utilization_pct", "utilization", "mean", 1, 100.0),
+    ("pct_reneged", "renege_pct", "mean", 1, 1.0),
+    ("ci_halfwidth_wait_days", "avg_wait", "half_width", 2, 1.0),
+)
+RESOURCE_COLUMNS = ("name", *(label for label, *_ in POOL_COLUMNS), "value")
 
 # Sidecar of every ``--out``: ``write_manifest`` writes it after the CSV.
 MANIFEST_SUFFIX = ".manifest.json"
@@ -114,16 +122,24 @@ def parse_values(text: str) -> list[float]:
 # -- output writing -----------------------------------------------------------
 
 
+def _statistic(summary: ScenarioSummary, pool: str, metric: str, statistic: str):
+    if statistic == "max":
+        values = (getattr(r.resources[pool], metric) for r in summary.replications)
+        return max((v for v in values if v is not None), default=None)
+    mean, half_width = summary.estimates[f"{pool}.{metric}"]
+    return half_width if statistic == "half_width" else mean
+
+
 def _rows(summary: ScenarioSummary):
     """The CSV rows of one summary: one per resource, then one per flow mean.
     The writer leaves the columns a row does not set empty."""
-    for name, res in summary.resources.items():
-        yield {"name": name, **{
-            f.metadata["label"]: _fmt(getattr(res, f.name), f.metadata["decimals"],
-                                      f.metadata["scale"])
-            for f in _SHOWN}}
+    reps = summary.replications
+    for pool in reps[0].resources if reps else ():
+        yield {"name": pool, **{
+            label: _fmt(_statistic(summary, pool, metric, statistic), decimals, scale)
+            for label, metric, statistic, decimals, scale in POOL_COLUMNS}}
     for key, label in FLOW_LABELS.items():
-        yield {"name": label, "value": _fmt(summary.flows[key][0], 2)}
+        yield {"name": label, "value": _fmt(summary.estimates[key][0], 2)}
 
 
 def write_scenario_csv(fh, summary: ScenarioSummary) -> None:
@@ -175,13 +191,14 @@ def print_summary_table(summary: ScenarioSummary, heading: str | None = None) ->
     print(f"{'Resource':<24}{'Avg Wait (d)':>14}{'Max Wait (d)':>14}"
           f"{'Utilization':>14}{'Reneged':>10}")
     rows = list(_rows(summary))
-    for row in rows[:len(summary.resources)]:
+    pools = len(rows) - len(FLOW_LABELS)
+    for row in rows[:pools]:
         util, reneged = row["utilization_pct"], row["pct_reneged"]
         print(f"{row['name']:<24}{row['avg_wait_days']:>14}{row['max_wait_days']:>14}"
               f"{util and util + '%':>14}{reneged and reneged + '%':>10}")
     n = len(summary.replications)
     print(f"Youth flow (means over {n} replication{'s' if n != 1 else ''}):")
-    for row in rows[len(summary.resources):]:
+    for row in rows[pools:]:
         print(f"  {row['name']:<30}{row['value']:>10}")
 
 

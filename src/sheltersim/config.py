@@ -168,6 +168,8 @@ class ScenarioConfig:
                 continue
             if not spec.name:
                 errors.append(f"{path}name: must be non-empty")
+            if "\r" in spec.name:  # the CSV writes it unquoted, splitting the row
+                errors.append(f"{path}name: must not contain a carriage return")
             if spec.appt_max < spec.appt_min:
                 errors.append(f"{path}appt_max: must be >= appt_min")
             if spec.appt_max > spec.capacity_units:

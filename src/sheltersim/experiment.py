@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .config import MAX_GRID_PAIRS, ConfigError, ScenarioConfig, set_field
 from .kernel import ResourceWindowStats, Simulator
@@ -53,36 +53,13 @@ class ReplicationStats(FlowCounters):
     resources: dict[str, ResourceWindowStats]
 
 
-def _column(label: str, decimals: int, scale: float = 1.0):
-    return field(metadata={"label": label, "decimals": decimals, "scale": scale})
-
-
-@dataclass(frozen=True)
-class ResourceSummary:
-    """Cross-replication aggregate for one resource; the one declaration of
-    its metrics. A field the CSV shows carries its column label, decimals and
-    scale, in CSV order. ``<metric>_ci`` is the half-width of ``<metric>``."""
-
-    avg_wait: float | None = _column("avg_wait_days", 2)
-    max_wait: float | None = _column("max_wait_days", 2)
-    utilization: float | None = _column("utilization_pct", 1, scale=100.0)
-    renege_pct: float | None = _column("pct_reneged", 1)
-    avg_wait_ci: float | None = _column("ci_halfwidth_wait_days", 2)
-    utilization_ci: float | None
-    renege_pct_ci: float | None
-
-
-ESTIMATED_METRICS = tuple(f.name.removesuffix("_ci") for f in fields(ResourceSummary)
-                          if f.name.endswith("_ci"))
-
-
 @dataclass(frozen=True)
 class ScenarioSummary:
-    """Scenario results: per-resource aggregates, youth-flow means, and the
-    per-replication records they were built from."""
+    """Scenario results: the mean and 95% half-width (``stats.estimate``) of
+    every ``metric_columns`` key, and the per-replication records they were
+    built from."""
 
-    resources: dict[str, ResourceSummary]
-    flows: dict[str, tuple[float | None, float | None]]
+    estimates: dict[str, tuple[float | None, float | None]]
     replications: list[ReplicationStats]
 
 
@@ -159,17 +136,9 @@ def metric_columns(reps: list[ReplicationStats]) -> dict[str, list]:
 
 
 def summarize(reps: list[ReplicationStats]) -> ScenarioSummary:
-    """Aggregate replication records into a scenario summary, by their columns."""
-    columns = metric_columns(reps)
-    resources = {}
-    for pool in dict.fromkeys(key.rpartition(".")[0] for key in columns if "." in key):
-        waits = [v for v in columns[f"{pool}.max_wait"] if v is not None]
-        values = {"max_wait": max(waits, default=None)}
-        for metric in ESTIMATED_METRICS:
-            values[metric], values[f"{metric}_ci"] = estimate(columns[f"{pool}.{metric}"])
-        resources[pool] = ResourceSummary(**values)
-    return ScenarioSummary(resources=resources, replications=reps,
-                           flows={name: estimate(columns[name]) for name in FLOW_LABELS})
+    """Aggregate replication records into a scenario summary, column by column."""
+    return ScenarioSummary(estimates={key: estimate(column) for key, column
+                                      in metric_columns(reps).items()}, replications=reps)
 
 
 def available_cpus() -> int:

@@ -267,7 +267,7 @@ service_names = mostly(fresh_names, st.builds(
     lambda names, name: [name, *names[1:]], fresh_names, reserved_names))
 
 # A usual value for every declared key. A config of these alone is valid
-# unless a service takes a reserved name, and expects at most about 4,400
+# unless a service takes a reserved name or one with a carriage return, and expects at most about 4,400
 # arrivals per replication, so runs stay short.
 fractions = st.floats(0.0, 1.0)
 days = st.floats(0.0, 400.0)

@@ -62,8 +62,8 @@ def psych_sweep():
 
 def test_criterion_1_baseline_flow_counts(baseline):
     summary, elapsed = baseline
-    arrivals = summary.flows["arrivals"][0]
-    bed_seekers = summary.flows["arrivals_bed_seeking"][0]
+    arrivals, _ = summary.estimates["arrivals"]
+    bed_seekers, _ = summary.estimates["arrivals_bed_seeking"]
     ok = (abs(arrivals - 1399) <= 25 and abs(bed_seekers - 466) <= 15
           and elapsed < 60.0)
     report("criterion 1 (baseline flow counts)", ok,
@@ -74,19 +74,21 @@ def test_criterion_1_baseline_flow_counts(baseline):
 
 def test_criterion_2_baseline_bed_statistics(baseline):
     summary, _ = baseline
-    beds = summary.resources[BED]
-    ok = (beds.utilization >= 0.95
-          and abs(beds.renege_pct - 25.3) <= 5.0
-          and 1.5 <= beds.avg_wait <= 4.5)
+    utilization, renege_pct, avg_wait = (
+        summary.estimates[f"{BED}.{metric}"][0]
+        for metric in ("utilization", "renege_pct", "avg_wait"))
+    ok = (utilization >= 0.95
+          and abs(renege_pct - 25.3) <= 5.0
+          and 1.5 <= avg_wait <= 4.5)
     report("criterion 2 (baseline bed statistics)", ok,
-           f"utilization {beds.utilization:.3f} (>= 0.95), "
-           f"renege {beds.renege_pct:.1f}% (25.3 +/- 5), "
-           f"avg wait {beds.avg_wait:.2f}d (in [1.5, 4.5])")
+           f"utilization {utilization:.3f} (>= 0.95), "
+           f"renege {renege_pct:.1f}% (25.3 +/- 5), "
+           f"avg wait {avg_wait:.2f}d (in [1.5, 4.5])")
 
 
 def test_criterion_3_service_ordering(baseline):
     summary, _ = baseline
-    services = [name for name in summary.resources if name != BED]
+    services = [name for name in summary.replications[0].resources if name != BED]
     holds = 0
     for rep in summary.replications:
         renege = {s: rep.resources[s].renege_pct for s in services}
@@ -107,11 +109,11 @@ def test_criterion_3_service_ordering(baseline):
 
 
 def test_criterion_4_bed_sweep_trend(bed_sweep):
-    reneges = [s.resources[BED].renege_pct for _, s in bed_sweep]
+    reneges = [s.estimates[f"{BED}.renege_pct"][0] for _, s in bed_sweep]
     monotone = all(a >= b - 1e-9 for a, b in zip(reneges, reneges[1:]))
     _, final = bed_sweep[-1]
-    final_renege = final.resources[BED].renege_pct
-    final_wait = final.resources[BED].avg_wait
+    final_renege, _ = final.estimates[f"{BED}.renege_pct"]
+    final_wait, _ = final.estimates[f"{BED}.avg_wait"]
     # The reference table reports whole-percent reneging, so "zero" at the
     # top capacity means a share that displays as 0% at that precision.
     ok = monotone and final_renege < 0.5 and final_wait <= 0.1
@@ -122,8 +124,8 @@ def test_criterion_4_bed_sweep_trend(bed_sweep):
 
 
 def test_criterion_5_psych_sweep_trend(psych_sweep):
-    waits = [s.resources["psychiatric"].avg_wait for _, s in psych_sweep]
-    reneges = [s.resources["psychiatric"].renege_pct for _, s in psych_sweep]
+    waits = [s.estimates["psychiatric.avg_wait"][0] for _, s in psych_sweep]
+    reneges = [s.estimates["psychiatric.renege_pct"][0] for _, s in psych_sweep]
     decreasing = all(a > b for a, b in zip(waits, waits[1:]))
     drop = reneges[0] - reneges[-1]
     ok = decreasing and waits[0] >= 5.0 and waits[-1] <= 1.0 and drop >= 15.0

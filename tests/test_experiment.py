@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sheltersim
 from sheltersim import experiment
 from sheltersim.config import (
     MAX_CAPACITY_UNITS,
@@ -24,7 +25,6 @@ from sheltersim.config import (
     set_field,
 )
 from sheltersim.experiment import (
-    ResourceSummary,
     build_streams,
     metric_columns,
     replication_population,
@@ -168,23 +168,23 @@ def test_flow_conservation_every_replication():
 def test_single_replication_summary_has_no_ci():
     cfg = mini_config(replications=1)
     summary = run_scenario(cfg)
-    rep = summary.replications[0]
-    for name, res in summary.resources.items():
-        assert res.avg_wait_ci is None
-        assert res.utilization_ci is None
-        assert res.avg_wait == rep.resources[name].avg_wait
-        assert res.max_wait == rep.resources[name].max_wait
-    assert summary.flows["arrivals"] == (float(rep.arrivals), None)
+    columns = metric_columns(summary.replications)
+    assert summary.estimates.keys() == columns.keys()
+    for key, (mean, half_width) in summary.estimates.items():
+        assert half_width is None, key
+        assert mean == columns[key][0], key
+    assert summary.estimates["arrivals"] == (float(summary.replications[0].arrivals), None)
 
 
 def test_summary_means_lie_within_replication_extremes():
     cfg = mini_config(replications=5)
     summary = run_scenario(cfg)
     columns = metric_columns(summary.replications)
-    for name, res in summary.resources.items():
-        values = [v for v in columns[f"{name}.avg_wait"] if v is not None]
-        if values and res.avg_wait is not None:
-            assert min(values) <= res.avg_wait <= max(values)
+    for key, (mean, _) in summary.estimates.items():
+        values = [v for v in columns[key] if v is not None]
+        assert (mean is None) == (not values), key
+        if values:
+            assert min(values) <= mean <= max(values), key
 
 
 # The fields of a pool's record that are metric columns.
@@ -195,7 +195,8 @@ WINDOW_METRICS = [*(f.name for f in fields(ResourceWindowStats)), "renege_pct"]
 accepted_names = st.lists(
     st.sampled_from(list(FLOW_LABELS)) | st.text(".a", min_size=1, max_size=4)
     | st.text(min_size=1, max_size=8), min_size=1, max_size=6, unique=True,
-).filter(lambda names: not set(names) & set(RESERVED_NAMES))
+).filter(lambda names: not set(names) & set(RESERVED_NAMES)
+         and not any("\r" in name for name in names))
 
 
 @given(accepted_names)
@@ -221,15 +222,7 @@ def test_every_metric_key_names_one_column(names):
 def test_summary_is_its_metric_columns_aggregated():
     summary = run_scenario(mini_config(replications=5))
     columns = metric_columns(summary.replications)
-    for pool, res in summary.resources.items():
-        for f in fields(ResourceSummary):
-            column = columns[f"{pool}.{f.name.removesuffix('_ci')}"]
-            mean, half_width = estimate(column)
-            if f.name == "max_wait":
-                mean = max((v for v in column if v is not None), default=None)
-            expected = half_width if f.name.endswith("_ci") else mean
-            assert getattr(res, f.name) == expected, (pool, f.name)
-    assert summary.flows == {name: estimate(columns[name]) for name in FLOW_LABELS}
+    assert summary.estimates == {key: estimate(column) for key, column in columns.items()}
 
 
 def test_estimate_known_value():
@@ -299,8 +292,8 @@ def test_t_quantile_is_the_first_float_past_its_tail_mass_crossing(p, df):
 def test_warmup_loads_the_system():
     cold = mini_config(warmup_days=0.0, replications=3)
     warm = mini_config(warmup_days=365.25, replications=3)
-    cold_util = run_scenario(cold).resources["crisis_beds"].utilization
-    warm_util = run_scenario(warm).resources["crisis_beds"].utilization
+    cold_util, _ = run_scenario(cold).estimates["crisis_beds.utilization"]
+    warm_util, _ = run_scenario(warm).estimates["crisis_beds.utilization"]
     # An empty start under-measures utilization relative to a loaded start.
     assert warm_util > cold_util
 
@@ -308,9 +301,9 @@ def test_warmup_loads_the_system():
 def test_long_warmup_agrees_with_one_year():
     one = run_scenario(mini_config(warmup_days=365.25, replications=6))
     two = run_scenario(mini_config(warmup_days=730.5, replications=6))
-    a, b = one.resources["crisis_beds"], two.resources["crisis_beds"]
-    assert abs(a.utilization - b.utilization) <= (a.utilization_ci + b.utilization_ci)
-    assert abs(a.renege_pct - b.renege_pct) <= (a.renege_pct_ci + b.renege_pct_ci)
+    for key in ("crisis_beds.utilization", "crisis_beds.renege_pct"):
+        (a, a_ci), (b, b_ci) = one.estimates[key], two.estimates[key]
+        assert abs(a - b) <= a_ci + b_ci, key
 
 
 def test_crn_arrival_logs_identical_across_capacities():
@@ -503,8 +496,7 @@ def test_worker_count_is_bounded_by_tasks_and_cpus():
 
 def test_summarize_empty_reps_is_safe():
     summary = summarize([])
-    assert summary.resources == {}
-    assert summary.flows == {name: (None, None) for name in FLOW_LABELS}
+    assert summary.estimates == {name: (None, None) for name in FLOW_LABELS}
 
 
 # -- config handling ------------------------------------------------------------
@@ -659,6 +651,15 @@ def test_config_rejects_reserved_service_names(name):
         f"services.{name}.name: {name!r} is reserved for the bed pool or a youth flow"]
 
 
+def test_config_rejects_a_carriage_return_in_a_service_name():
+    # The CSV quotes a name only if it holds a comma, a quote or a line
+    # feed, so a carriage return would end the name's row early.
+    services = list(ScenarioConfig().services)
+    services[4] = replace(services[4], name="med\rical")
+    assert ScenarioConfig(services=tuple(services)).validation_errors() == [
+        "services.med\rical.name: must not contain a carriage return"]
+
+
 def test_invalid_window_rejected():
     errors = ScenarioConfig(stats_window_days=0.0).validation_errors()
     assert any(e.startswith("stats_window_days") for e in errors)
@@ -751,6 +752,23 @@ def test_readme_lists_every_field_with_its_declared_range(cls, header):
     declared = ["[{:,}, {:,}]".format(*f.metadata["range"]) if "range" in f.metadata
                 else "" for f in fields(cls)]
     assert [span for _, _, span, _ in rows] == declared
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    # The README's Python block under "Library use", with every config it
+    # builds capped at two replications so that it runs in about a second.
+    text = Path("README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Library use"):]
+    block = section[section.index("```python\n") + len("```python\n"):]
+    block = block[:block.index("```")]
+
+    def capped(*args, **kwargs):
+        config = ScenarioConfig(*args, **kwargs)
+        return replace(config, replications=min(config.replications, 2))
+
+    monkeypatch.setattr(sheltersim, "ScenarioConfig", capped)
+    exec(block, {})
+    assert capsys.readouterr().out
 
 
 

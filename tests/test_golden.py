@@ -12,7 +12,7 @@ import contextlib
 import hashlib
 import io
 import json
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import pytest
 from sheltersim.cli import print_summary_table, write_scenario_csv, write_sweep_csv
 from sheltersim.config import ScenarioConfig
 from sheltersim.experiment import STREAM_NAMES, build_streams, run_replication, run_scenario, sweep
-from sheltersim.model import draw_population
+from sheltersim.model import FLOW_LABELS, draw_population
 from sheltersim.streams import RngStream
 from support import mini_config
 
@@ -41,6 +41,8 @@ SUMMARY_SHA256 = "f32036ea504e531b3147059329c9c949b56db3bf01bebf258d68197f2a5ea1
 TABLES_SHA256 = "ad5a76b4e03c5e2cce83da38cc20113b0f08359a84ce2d2aaf1d9424143f10cb"
 # The summary of two replications, whose every half-width uses t(0.975, df = 1).
 SUMMARY_DF1_SHA256 = "d3f536cb3ace8bd95c8c832123396b42ff2620b217898e5d422a7923cb95321b"
+# Every key's estimate in the df2 summary, the count columns among them.
+ESTIMATES_SHA256 = "cfd20d1659dcae677761b81e518e792c2ee27aa03e1e1e1af005f24a532c7a4b"
 
 # ``repr((stats, trace))`` of replications 0-3 of configs/baseline.json at
 # each bed capacity, with the stay redraw off and on, fed to one hash in
@@ -104,11 +106,26 @@ def test_float_sweep_csv_digest():
 @pytest.mark.parametrize("replications, expected", [(3, SUMMARY_SHA256), (2, SUMMARY_DF1_SHA256)],
                          ids=["df2", "df1"])
 def test_summary_digest(replications, expected):
+    # The JSON these digests pin: per pool, the mean of each of three
+    # metrics with its ``_ci`` half-width, and the largest ``max_wait``;
+    # per flow, ``[mean, half_width]``.
     summary = run_scenario(mini_config(replications=replications))
-    text = json.dumps({"resources": {pool: asdict(res)
-                                     for pool, res in summary.resources.items()},
-                       "flows": summary.flows}, sort_keys=True)
+    resources = {}
+    for pool in summary.replications[0].resources:
+        waits = [r.resources[pool].max_wait for r in summary.replications]
+        resources[pool] = {"max_wait": max((w for w in waits if w is not None), default=None)}
+        for metric in ("avg_wait", "utilization", "renege_pct"):
+            resources[pool][metric], resources[pool][f"{metric}_ci"] = \
+                summary.estimates[f"{pool}.{metric}"]
+    flows = {name: summary.estimates[name] for name in FLOW_LABELS}
+    text = json.dumps({"resources": resources, "flows": flows}, sort_keys=True)
     assert _sha256(text) == expected, _provenance("summary")
+
+
+def test_estimates_digest():
+    summary = run_scenario(mini_config(replications=3))
+    text = json.dumps(summary.estimates, sort_keys=True)
+    assert _sha256(text) == ESTIMATES_SHA256, _provenance("summary estimates")
 
 
 def test_printed_tables_digest():

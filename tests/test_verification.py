@@ -85,9 +85,10 @@ def test_busy_beds_without_contention_match_the_infinite_server_mean():
     bed_rate = config.annual_arrivals * config.bsy_fraction / DAYS_PER_YEAR
     expected = bed_rate * mean_bed_stay(config)
     assert expected == pytest.approx(88.61, abs=0.01)
-    summary = run_scenario(config).resources[BED_RESOURCE]
-    assert summary.avg_wait == 0.0
-    busy, half_width = beds * summary.utilization, beds * summary.utilization_ci
+    summary = run_scenario(config)
+    assert summary.estimates[f"{BED_RESOURCE}.avg_wait"][0] == 0.0
+    utilization, utilization_ci = summary.estimates[f"{BED_RESOURCE}.utilization"]
+    busy, half_width = beds * utilization, beds * utilization_ci
     assert abs(busy - expected) <= 3 * half_width, (busy, half_width, expected)
 
 
@@ -107,11 +108,11 @@ def test_busy_service_units_without_contention_match_the_infinite_server_mean():
     assert mean_stay == pytest.approx(34.467, abs=0.001)
     summary = run_scenario(config)
     for spec in config.services:
-        res = summary.resources[spec.name]
-        assert res.avg_wait == 0.0, spec.name
+        assert summary.estimates[f"{spec.name}.avg_wait"][0] == 0.0, spec.name
+        utilization, utilization_ci = summary.estimates[f"{spec.name}.utilization"]
         mean_count = (spec.appt_min + spec.appt_max) / 2.0
         expected = rate * spec.request_prob * mean_count * mean_stay
-        busy, half_width = units * res.utilization, units * res.utilization_ci
+        busy, half_width = units * utilization, units * utilization_ci
         assert abs(busy - expected) <= 3 * half_width, (spec.name, busy, half_width, expected)
 
 
