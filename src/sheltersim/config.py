@@ -168,8 +168,9 @@ class ScenarioConfig:
                 continue
             if not spec.name:
                 errors.append(f"{path}name: must be non-empty")
-            if "\r" in spec.name:  # the CSV writes it unquoted, splitting the row
-                errors.append(f"{path}name: must not contain a carriage return")
+            if not spec.name.isprintable():  # it would split a CSV row or a table line
+                errors.append(f"{path}name: must be printable "
+                              "(no line breaks, tabs or other control characters)")
             if spec.appt_max < spec.appt_min:
                 errors.append(f"{path}appt_max: must be >= appt_min")
             if spec.appt_max > spec.capacity_units:

@@ -57,7 +57,9 @@ class ReplicationStats(FlowCounters):
 class ScenarioSummary:
     """Scenario results: the mean and 95% half-width (``stats.estimate``) of
     every ``metric_columns`` key, and the per-replication records they were
-    built from."""
+    built from. ``estimates["<pool>.max_wait"]`` is thus the mean of the
+    replications' maxima; the CSV's ``max_wait_days`` is the largest of
+    them."""
 
     estimates: dict[str, tuple[float | None, float | None]]
     replications: list[ReplicationStats]
@@ -185,7 +187,11 @@ def _run_grid(configs: list[ScenarioConfig], jobs: int) -> list[list[Replication
         except BrokenProcessPool as exc:  # a worker was killed, e.g. out of memory
             raise ChildProcessError(f"a worker process exited abruptly: {exc}") from exc
     else:
-        stats = list(map(run_replication, grid_configs, grid_reps))
+        global _population_cache
+        try:
+            stats = list(map(run_replication, grid_configs, grid_reps))
+        finally:  # a later grid seldom redraws the last key: let its population go
+            _population_cache = None
     return [stats[i::width] for i in range(width)]
 
 

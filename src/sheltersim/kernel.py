@@ -259,18 +259,12 @@ class Resource:
                 f"(capacity {self.capacity})"
             )
         self.request_count += 1
-        now = self.sim.now
-        busy = self.busy
-        if not self.queue and busy + units <= self.capacity:
-            if now > self._last_ts:
-                self.busy_time_integral += busy * (now - self._last_ts)
-                self._last_ts = now
-            self.busy = busy + units
-            held = self._held
-            held[entity] = held.get(entity, 0) + units
-            self.served_waits.append(0.0)
-            on_grant(entity, self, 0.0)
+        if not self.queue and self.busy + units <= self.capacity:
+            # Its speed: this path builds no request and schedules nothing.
+            self._advance_integral()
+            self._grant(entity, units, 0.0, True, on_grant)
             return
+        now = self.sim.now
         req = PendingRequest(self, entity, units, now, on_grant, on_renege)
         deadline = now + patience
         # A request due when the renege entry scheduled just before it fires
@@ -310,17 +304,19 @@ class Resource:
             return
         self._advance_integral()
         now = self.sim.now
-        held = self._held
         while queue and self.busy + queue[0].units <= self.capacity:
             req = queue.popleft()
             req.queued = False
-            self.busy += req.units
-            entity = req.entity
-            held[entity] = held.get(entity, 0) + req.units
-            wait = now - req.enqueue_time
-            if req.counted:
-                self.served_waits.append(wait)
-            req.on_grant(entity, self, wait)
+            self._grant(req.entity, req.units, now - req.enqueue_time, req.counted, req.on_grant)
+
+    def _grant(self, entity, units, wait, counted, on_grant) -> None:
+        # ``counted``: the request was made inside this statistics window.
+        self.busy += units
+        held = self._held
+        held[entity] = held.get(entity, 0) + units
+        if counted:
+            self.served_waits.append(wait)
+        on_grant(entity, self, wait)
 
     def _renege_due(self, due: list[PendingRequest]) -> None:
         # A renege entry fires: renege its requests, of any pool, in join

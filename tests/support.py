@@ -260,14 +260,18 @@ def service_entry(draw, name: str) -> dict:
             "appt_min": appt_min, "appt_max": appt_max}
 
 
+# Names a config accepts unless reserved: ``str.isprintable`` holds for the
+# space and for every character outside Unicode's "Other" and "Separator".
+printable_names = st.text(st.characters(exclude_categories=("C", "Z"),
+                                        include_characters=" "), min_size=1, max_size=8)
+
 # Unique service names; now and then the first is one the results reserve.
-fresh_names = st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=8,
-                       unique=True)
+fresh_names = st.lists(printable_names, min_size=1, max_size=8, unique=True)
 service_names = mostly(fresh_names, st.builds(
     lambda names, name: [name, *names[1:]], fresh_names, reserved_names))
 
 # A usual value for every declared key. A config of these alone is valid
-# unless a service takes a reserved name or one with a carriage return, and expects at most about 4,400
+# unless a service takes a reserved name, and expects at most about 4,400
 # arrivals per replication, so runs stay short.
 fractions = st.floats(0.0, 1.0)
 days = st.floats(0.0, 400.0)

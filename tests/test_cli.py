@@ -116,6 +116,17 @@ def test_reserved_service_name_exits_2_without_outputs(tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
+def test_service_name_with_a_line_feed_exits_2_without_outputs(tmp_path, capsys):
+    # A line feed would split the pool's line of the stdout table.
+    out = tmp_path / "results.csv"
+    code = run_cli("simulate", "--out", str(out), *FAST_OVERRIDES,
+                   "--set", "services.medical.name=med\nical")
+    assert code == 2
+    assert not out.exists()
+    assert ("config error: services.med\nical.name: must be printable"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("assignment, message", [
     ("replications=0", "replications: must be within [1, 100,000], got 0"),
     ("services.medical.capacity_units=0",
@@ -536,6 +547,14 @@ def _run_python(*args, **env) -> subprocess.CompletedProcess:
 def test_python_m_sheltersim_exits_with_the_cli_code(argv, code):
     done = _run_python("-m", "sheltersim", *argv)
     assert done.returncode == code, done.stderr
+
+
+def test_ab_replications_tool_runs_on_this_tree():
+    # The tool reads experiment.ScenarioConfig and run_replication by name
+    # from a source tree, so a rename under src/ would break it silently.
+    done = _run_python("tools/ab_replications.py", ".", "--aa", "--reps", "1", "--pairs", "1")
+    assert done.returncode == 0, done.stderr
+    assert "median ratio" in done.stdout
 
 
 def test_two_worker_sweep_csv_does_not_depend_on_the_hash_seed(tmp_path):

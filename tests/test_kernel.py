@@ -265,6 +265,9 @@ def test_immediate_grant_when_free():
     res.request("a", 1, 5.0, rec.on_grant("a"), rec.on_renege("a"))
     assert rec.grants == [("a", 0.0)]
     assert res.busy == 1
+    # The immediate grant queues nothing and schedules nothing.
+    assert not res.queue
+    assert sim._seq == 0 and not sim._heap
 
 
 def test_grant_after_wait():
@@ -684,8 +687,14 @@ def _run_pool_script(capacities, steps, separate_entries):
             sim._renege_entry = None
         pool.request(entity, units, patience, on_grant, on_renege)
 
+    def assert_ledgers_hold():
+        # Both grant paths, immediate and from the queue, keep the ledger.
+        for pool in pools:
+            assert pool.busy == sum(pool._held.values()) <= pool.capacity, pool.name
+
     for dt, operations in steps:
         sim.run_until(sim.now + dt)
+        assert_ledgers_hold()
         for op, *args in operations:
             if op == "mark":
                 sim.schedule(sim.now + args[0], log.append, ("mark", sim.now + args[0]))
@@ -695,8 +704,13 @@ def _run_pool_script(capacities, steps, separate_entries):
                 request(pool, *args[1:])
             elif pool.held_by(args[1]):
                 pool.release(args[1])
+            assert_ledgers_hold()
     sim.run_until(sim.now + 5.0)
-    return log, [pool.window_stats() for pool in pools]
+    assert_ledgers_hold()
+    windows = [pool.window_stats() for pool in pools]
+    for window in windows:
+        assert window.requests == window.served + window.reneges + window.still_queued
+    return log, windows
 
 
 @settings(max_examples=300, deadline=None)
