@@ -3,7 +3,8 @@
 one replication, and must either write a non-empty CSV whose rows each have
 a name of their own and whose pool rows hold percentages in [0, 100] and an
 average wait no longer than the maximum (exit 0), or be rejected without
-one (exit 2), never raise.
+one (exit 2) with nothing on stderr but printable lines that each start
+``config error: ``, never raise.
 
 About six drawn configs in ten are valid, so 1000 examples run about 600
 replications, each drawing its population and running the kernel on a
@@ -12,7 +13,9 @@ testpaths is ``tests/``: an accepted config runs a whole replication, up to
 a million arrivals. Run with ``PYTHONPATH=src python -m pytest fuzz``.
 """
 
+import contextlib
 import csv
+import io
 import json
 import os
 import tempfile
@@ -32,7 +35,9 @@ def test_simulate_runs_or_rejects_every_config(data):
         out = os.path.join(tmp, "results.csv")
         with open(config, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
-        code = main(["simulate", "--config", config, "--reps", "1", "--out", out])
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["simulate", "--config", config, "--reps", "1", "--out", out])
         if code == 0:
             with open(out, newline="", encoding="utf-8") as fh:
                 rows = list(csv.DictReader(fh))
@@ -49,3 +54,6 @@ def test_simulate_runs_or_rejects_every_config(data):
         else:
             assert code == 2
             assert not os.path.exists(out)
+            lines = stderr.getvalue().splitlines()  # at every line break, not just "\n"
+            assert lines and all(line.startswith("config error: ") and line.isprintable()
+                                 for line in lines), lines

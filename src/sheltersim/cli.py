@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .config import MAX_GRID_PAIRS, ConfigError, ScenarioConfig, set_field
+from .config import MAX_GRID_PAIRS, ConfigError, ScenarioConfig, set_field, shown
 from .experiment import ScenarioSummary, run_scenario, sweep
 from .model import FLOW_LABELS
 
@@ -56,13 +56,13 @@ def load_config(path: str | None) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError([f"config file not found: {path}"])
+        raise ConfigError([f"config file not found: {shown(path)}"])
     except OSError as exc:  # a directory, no permission, ...
-        raise ConfigError([f"config file {path} cannot be read: {exc}"])
+        raise ConfigError([f"config file {shown(path)} cannot be read: {exc}"])
     except (ValueError, RecursionError) as exc:  # bad JSON, too long an int, too deep
-        raise ConfigError([f"config file {path} is not valid JSON: {exc}"])
+        raise ConfigError([f"config file {shown(path)} is not valid JSON: {exc}"])
     if not isinstance(data, dict):
-        raise ConfigError([f"config file {path} must contain a JSON object"])
+        raise ConfigError([f"config file {shown(path)} must contain a JSON object"])
     return data
 
 

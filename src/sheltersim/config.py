@@ -1,14 +1,12 @@
 """Scenario configuration: each field declared once with its type, default
 and range; its JSON form, dotted keys and checks."""
 
-from __future__ import annotations
-
-import functools
+# No ``from __future__ import annotations``: a field's ``type`` is then the type itself.
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_origin
 
 from .model import BED_RESOURCE, DAYS_PER_YEAR, FLOW_LABELS
 
@@ -26,8 +24,6 @@ MAX_GRID_PAIRS = 10 ** 5
 
 # Names no service may take: the results key every pool and flow by name.
 RESERVED_NAMES = (BED_RESOURCE, *FLOW_LABELS.values())
-
-type_hints = functools.cache(get_type_hints)  # a dataclass's field types, read once
 
 
 def param(default, low, high=math.inf):
@@ -81,9 +77,9 @@ def field_errors(spec, path: str = "") -> list[str]:
     ``spec`` whose value is not of its declared type (a number field takes a
     finite int or float, not a bool; an int field an int) or not in its
     declared range. Rules across fields can then trust every field."""
-    errors, kinds = [], type_hints(type(spec))
+    errors = []
     for f in fields(spec):
-        kind, value, where = kinds[f.name], getattr(spec, f.name), f"{path}{f.name}"
+        kind, value, where = f.type, getattr(spec, f.name), f"{path}{f.name}"
         if kind is int or kind is float:
             low, high = f.metadata["range"]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -107,8 +103,16 @@ def field_errors(spec, path: str = "") -> list[str]:
 
 def spellable(name) -> bool:
     """Whether a key segment can spell ``name``: ``set_field`` splits keys at
-    dots, ``--set`` at the first ``=``, and no segment is empty."""
-    return isinstance(name, str) and name != "" and "." not in name and "=" not in name
+    dots, ``--set`` at the first ``=``, no segment is empty, and an error
+    message echoes a key, so a key must be printable."""
+    return (isinstance(name, str) and name != "" and name.isprintable()
+            and not {".", "="} & set(name))
+
+
+def shown(key) -> str:
+    """``key`` as an error message echoes it: by its ``repr`` unless printable."""
+    text = str(key)
+    return text if text.isprintable() else repr(text)
 
 
 def entry_paths(path: str, names: list) -> list[str]:
@@ -240,16 +244,16 @@ def set_field(data: dict, key: str, value) -> None:
             node = next((item for item in node
                          if isinstance(item, dict) and item.get("name") == part), None)
             if node is None:
-                raise ConfigError([f"{key}: no service named {part!r}"])
+                raise ConfigError([f"{shown(key)}: no service named {part!r}"])
         elif isinstance(node, dict) and depth == len(parts):
             node[part] = value
             return
         elif isinstance(node, dict) and part in node:
             node = node[part]
         else:
-            raise ConfigError([f"{key}: no such field {part!r}"])
-    raise ConfigError([f"{key}: names a service; set one of its fields, "
-                       f"e.g. {key}.capacity_units"])
+            raise ConfigError([f"{shown(key)}: no such field {part!r}"])
+    raise ConfigError([f"{shown(key)}: names a service; set one of its fields, "
+                       f"e.g. {shown(key + '.capacity_units')}"])
 
 
 def _from_data(kind, value, path: str, errors: list[str]):
@@ -268,9 +272,9 @@ def _from_data(kind, value, path: str, errors: list[str]):
     if not isinstance(value, dict):
         errors.append(f"{path.rstrip('.') or 'config'}: must be an object")
         return None
-    kinds = type_hints(kind)
+    kinds = {f.name: f.type for f in fields(kind)}
     if unknown := sorted(set(value) - set(kinds), key=str):
-        errors.extend(f"{path}{key}: unknown field" for key in unknown)
+        errors.extend(f"{path}{shown(key)}: unknown field" for key in unknown)
         return None
     return kind(**{key: _from_data(kinds[key], entry, f"{path}{key}", errors)
                    for key, entry in value.items()})
@@ -279,8 +283,7 @@ def _from_data(kind, value, path: str, errors: list[str]):
 def _to_data(value, kind=None):
     """``value``, declared as ``kind``, as JSON data: ``_from_data`` inverted."""
     if is_dataclass(value):
-        kinds = type_hints(type(value))
-        return {f.name: _to_data(getattr(value, f.name), kinds[f.name]) for f in fields(value)}
+        return {f.name: _to_data(getattr(value, f.name), f.type) for f in fields(value)}
     if isinstance(value, (tuple, list)):
         return [_to_data(entry) for entry in value]
     return as_declared(kind, value)

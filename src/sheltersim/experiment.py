@@ -18,11 +18,12 @@ replication in a capacity sweep share a single draw.
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 
-from .config import MAX_GRID_PAIRS, ConfigError, ScenarioConfig, set_field
+from .config import MAX_GRID_PAIRS, ConfigError, ScenarioConfig, set_field, shown
 from .kernel import ResourceWindowStats, Simulator
 from .model import FLOW_LABELS, FlowCounters, Population, ShelterModel, draw_population
 from .stats import estimate
@@ -69,42 +70,38 @@ def build_streams(master_seed: int, replication: int) -> dict[str, RngStream]:
     return {name: RngStream(master_seed, replication, name) for name in STREAM_NAMES}
 
 
-# The last population drawn in this process, under the key it was drawn for.
-_population_cache: tuple[tuple, Population] | None = None
-
-
-def replication_population(config: ScenarioConfig, replication: int,
-                           streams: dict[str, RngStream]) -> Population:
+def replication_population(config: ScenarioConfig, replication: int) -> Population:
     """The replication's arrivals and youth attributes up to the horizon.
 
-    Draws from ``streams`` unless this process drew the same key last: the
-    config with every capacity blanked, and the replication index. The values
-    of a capacity sweep differ only in capacities, so consecutive runs of one
-    replication share a single draw.
+    ``_draw`` builds the streams (``build_streams``) and keeps the last draw,
+    keyed on the config with every capacity blanked and the replication index:
+    consecutive runs of one replication in a capacity sweep share one draw.
     """
-    global _population_cache
-    key = replace(config, bed_capacity=0, services=tuple(
-        replace(s, capacity_units=0) for s in config.services)), replication
-    if _population_cache is None or _population_cache[0] != key:
-        _population_cache = key, draw_population(
-            list(config.services), config.annual_arrivals, config.bsy_fraction,
-            config.age_16_20_fraction, config.renege_exit_prob, streams,
-            config.warmup_days + config.stats_window_days)
-    return _population_cache[1]
+    return _draw(replace(config, bed_capacity=0, services=tuple(
+        replace(s, capacity_units=0) for s in config.services)), replication)
+
+
+@functools.lru_cache(maxsize=1)
+def _draw(config: ScenarioConfig, replication: int) -> Population:
+    return draw_population(list(config.services), config.annual_arrivals, config.bsy_fraction,
+                           config.age_16_20_fraction, config.renege_exit_prob,
+                           build_streams(config.master_seed, replication),
+                           config.warmup_days + config.stats_window_days)
 
 
 def run_replication(config: ScenarioConfig, replication: int,
                     trace: list | None = None) -> ReplicationStats:
     """Run one seeded replication: build, warm up, reset the statistics,
     run the window, collect. Every event is appended to ``trace`` when one
-    is given (see ``ShelterModel``).
+    is given (see ``ShelterModel``). ``replication_population`` builds the
+    draw streams; this builds the ``redraw`` stream, if the config redraws.
     """
-    streams = build_streams(config.master_seed, replication)
     sim = Simulator()
     model = ShelterModel(
         sim, config.bed_capacity, list(config.services),
-        population=replication_population(config, replication, streams),
-        redraw=streams["redraw"] if config.redraw_los_on_bed_renege else None,
+        population=replication_population(config, replication),
+        redraw=(RngStream(config.master_seed, replication, "redraw")
+                if config.redraw_los_on_bed_renege else None),
         trace=trace,
     )
     sim.run_until(config.warmup_days)
@@ -187,11 +184,10 @@ def _run_grid(configs: list[ScenarioConfig], jobs: int) -> list[list[Replication
         except BrokenProcessPool as exc:  # a worker was killed, e.g. out of memory
             raise ChildProcessError(f"a worker process exited abruptly: {exc}") from exc
     else:
-        global _population_cache
         try:
             stats = list(map(run_replication, grid_configs, grid_reps))
         finally:  # a later grid seldom redraws the last key: let its population go
-            _population_cache = None
+            _draw.cache_clear()
     return [stats[i::width] for i in range(width)]
 
 
@@ -238,7 +234,7 @@ def sweep(config: ScenarioConfig, parameter: str, values: list[float],
         try:
             swept.append(ScenarioConfig.from_dict(data))
         except ConfigError as exc:
-            errors.extend(f"{parameter}={value}: {error}" for error in exc.errors)
+            errors.extend(f"{shown(parameter)}={value}: {error}" for error in exc.errors)
     if errors:
         raise ConfigError(errors)
     grid = _run_grid(swept, jobs)

@@ -14,12 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sheltersim.cli import load_config, main, parse_values, resolve_config
 from sheltersim.config import MAX_GRID_PAIRS, ConfigError, ScenarioConfig
-from support import json_values, mini_config
+from sheltersim.experiment import sweep
+from support import config_dicts, json_values, mini_config
 
 FAST_OVERRIDES = [
     "--set", "annual_arrivals=200",
@@ -89,6 +90,10 @@ def test_missing_config_file_exits_2_without_outputs(tmp_path, capsys):
     assert code == 2
     assert not out.exists()
     assert "not found" in capsys.readouterr().err
+    # A path that is not printable is shown by its repr, on one line.
+    missing = str(tmp_path / "no\npe.json")
+    assert run_cli("validate", "--config", missing) == 2
+    assert capsys.readouterr().err == f"config error: config file not found: {missing!r}\n"
 
 
 def test_unreadable_config_path_exits_2(tmp_path, capsys):
@@ -123,8 +128,10 @@ def test_service_name_with_a_line_feed_exits_2_without_outputs(tmp_path, capsys)
                    "--set", "services.medical.name=med\nical")
     assert code == 2
     assert not out.exists()
-    assert ("config error: services.med\nical.name: must be printable"
-            in capsys.readouterr().err)
+    # The error goes by the service's index, on one line.
+    assert capsys.readouterr().err == (
+        "config error: services[4].name: must be printable "
+        "(no line breaks, tabs or other control characters)\n")
 
 
 @pytest.mark.parametrize("assignment, message", [
@@ -432,6 +439,43 @@ def test_set_paths_accept_or_reject_cleanly(sets):
     except ConfigError:
         return
     assert config.validation_errors() == []
+
+
+# Characters ``str.isprintable`` rejects: C0 and C1 controls, a format
+# character, and the line and paragraph separators.
+unprintable_chars = st.sampled_from(
+    ["\n", "\r", "\t", "\x00", "\x1b", "\x85", "\u200b", "\u2028", "\u2029"])
+unprintable_keys = st.builds(lambda path, char, at: path[:at] + char + path[at:],
+                             set_paths, unprintable_chars, st.integers(0, 20))
+
+
+@given(config_dicts)
+@example({"a\nb": 1})
+@example({"services": [{"name": "x", "c\nd": 1}]})
+@example({"services": [{"name": "med\nical", "capacity_units": 5}]})
+@settings(max_examples=300, deadline=None)
+def test_every_config_error_of_a_config_file_is_one_printable_line(data):
+    # The CLI prints each message as one "config error: " line; a name or
+    # key that is not printable goes by its index or its repr.
+    try:
+        ScenarioConfig.from_dict(data)
+    except ConfigError as exc:
+        assert all(error.isprintable() for error in exc.errors), exc.errors
+
+
+@given(unprintable_keys, set_values)
+@settings(max_examples=300, deadline=None)
+def test_every_config_error_of_an_unprintable_key_is_one_printable_line(key, value):
+    # The key as a --set key, and as a sweep's --param, whose errors each
+    # start with "<param>=<value>: ".
+    with pytest.raises(ConfigError) as swept:
+        sweep(mini_config(), key, [1])
+    errors = swept.value.errors
+    try:
+        resolve_config(argparse.Namespace(config=None, set=[f"{key}={value}"]))
+    except ConfigError as exc:  # --set strips the key, which may leave a valid one
+        errors += exc.errors
+    assert all(error.isprintable() for error in errors), errors
 
 
 def test_config_file_with_set_and_flags(tmp_path, capsys):

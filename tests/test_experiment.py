@@ -25,7 +25,6 @@ from sheltersim.config import (
     set_field,
 )
 from sheltersim.experiment import (
-    build_streams,
     metric_columns,
     replication_population,
     run_replication,
@@ -80,8 +79,7 @@ def _assert_record_follows_from_trace(config: ScenarioConfig, replication: int) 
                      for name, window in stats.resources.items()}
     # The bed pool's counts also follow from the population alone, by a
     # recursion that shares neither the calendar nor the queue with the run.
-    population = replication_population(config, replication,
-                                        build_streams(config.master_seed, replication))
+    population = replication_population(config, replication)
     assert bed_pool_counts(population, config.bed_capacity, start, end) == pools[BED_RESOURCE]
 
 
@@ -410,7 +408,7 @@ def test_population_is_shared_only_across_capacities():
     cfg = mini_config()
 
     def population(config, rep=0):
-        return replication_population(config, rep, build_streams(config.master_seed, rep))
+        return replication_population(config, rep)
 
     first = population(cfg)
     services = list(cfg.services)
@@ -439,7 +437,7 @@ def test_population_is_shared_only_across_capacities():
 def test_a_finished_serial_run_keeps_no_population():
     # At the largest accepted arrival rate a population holds about 76 MB.
     run_scenario(mini_config(replications=2))
-    assert experiment._population_cache is None
+    assert experiment._draw.cache_info().currsize == 0
 
 
 def test_parallel_jobs_match_serial():
@@ -469,7 +467,7 @@ def test_grid_chunks_hold_whole_replications(monkeypatch, reps, chunksize):
             chunksizes.append(chunksize)
             pairs = list(zip(*iterables))
             for start in range(0, len(pairs), chunksize):
-                experiment._population_cache = None
+                experiment._draw.cache_clear()
                 yield from (fn(*pair) for pair in pairs[start:start + chunksize])
 
     draw_population = experiment.draw_population
@@ -481,7 +479,7 @@ def test_grid_chunks_hold_whole_replications(monkeypatch, reps, chunksize):
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiment, "available_cpus", lambda: 2)
     monkeypatch.setattr(experiment, "draw_population", counted_draw)
-    monkeypatch.setattr(experiment, "_population_cache", None)
+    experiment._draw.cache_clear()
     configs = [mini_config(bed_capacity=capacity, replications=reps)
                for capacity in (6, 8, 10)]
     grid = experiment._run_grid(configs, jobs=2)
@@ -665,11 +663,12 @@ def test_config_rejects_reserved_service_names(name):
 def test_config_rejects_an_unprintable_service_name(char):
     # The CSV quotes a name only if it holds a comma, a quote or a line
     # feed, so a carriage return would end the name's row early; a line
-    # break splits the name's line of the stdout table.
+    # break splits the name's line of the stdout table. The error names the
+    # service by its index, as the name would split the error's line too.
     services = list(ScenarioConfig().services)
     services[4] = replace(services[4], name=f"med{char}ical")
     assert ScenarioConfig(services=tuple(services)).validation_errors() == [
-        f"services.med{char}ical.name: must be printable "
+        "services[4].name: must be printable "
         "(no line breaks, tabs or other control characters)"]
 
 
@@ -823,7 +822,8 @@ def _assert_service_paths_are_set_keys(data: dict) -> None:
             i = int(error.removeprefix("services[").partition("]")[0])
             entry = data["services"][i]
             if isinstance(entry, dict) and all(
-                    isinstance(key, str) and key and not {".", "="} & set(key)
+                    isinstance(key, str) and key and key.isprintable()
+                    and not {".", "="} & set(key)
                     for key in [entry.get("name"), *entry]):
                 assert any(isinstance(earlier, dict) and earlier.get("name") == entry["name"]
                            for earlier in data["services"][:i])
