@@ -14,8 +14,6 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .config import MAX_GRID_PAIRS, ConfigError, ScenarioConfig, set_field, shown
 from .experiment import ScenarioSummary, run_scenario, sweep
@@ -160,6 +158,7 @@ def write_manifest(args, config: ScenarioConfig, swept: dict) -> str:
     """Write the manifest of the command ``args`` beside its ``args.out``.
     ``swept`` names a sweep's parameter and values, and is empty for any
     other command."""
+    import numpy  # for its version; only the modules that draw import it at load
     out_path = args.out
     manifest_path = out_path + MANIFEST_SUFFIX
     with open(out_path, "rb") as fh:
@@ -175,7 +174,7 @@ def write_manifest(args, config: ScenarioConfig, swept: dict) -> str:
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [os.path.abspath(out_path)],
         "python": sys.version.split()[0],
-        "numpy": np.__version__,
+        "numpy": numpy.__version__,
         "output_sha256": {os.path.abspath(out_path): sha256},
     }
     with open(manifest_path, "w", encoding="utf-8") as fh:

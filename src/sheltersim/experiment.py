@@ -29,8 +29,9 @@ from .model import FLOW_LABELS, FlowCounters, Population, ShelterModel, draw_pop
 from .stats import estimate
 from .streams import RngStream
 
-# Streams a replication may consume, in no particular order.
-STREAM_NAMES = ("arrivals", "attributes", "needs", "redraw")
+# The streams ``draw_population`` reads, in the order it first reads them;
+# ``run_replication`` builds ``redraw`` when the config redraws stays.
+STREAM_NAMES = ("arrivals", "attributes", "needs")
 
 
 def __getattr__(name: str):
@@ -73,7 +74,7 @@ def build_streams(master_seed: int, replication: int) -> dict[str, RngStream]:
 def replication_population(config: ScenarioConfig, replication: int) -> Population:
     """The replication's arrivals and youth attributes up to the horizon.
 
-    ``_draw`` builds the streams (``build_streams``) and keeps the last draw,
+    ``_draw`` builds the ``STREAM_NAMES`` streams and keeps the last draw,
     keyed on the config with every capacity blanked and the replication index:
     consecutive runs of one replication in a capacity sweep share one draw.
     """
@@ -94,7 +95,8 @@ def run_replication(config: ScenarioConfig, replication: int,
     """Run one seeded replication: build, warm up, reset the statistics,
     run the window, collect. Every event is appended to ``trace`` when one
     is given (see ``ShelterModel``). ``replication_population`` builds the
-    draw streams; this builds the ``redraw`` stream, if the config redraws.
+    draw's streams; this builds the one other, ``redraw``, and only when
+    ``redraw_los_on_bed_renege`` is set.
     """
     sim = Simulator()
     model = ShelterModel(

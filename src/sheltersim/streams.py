@@ -27,12 +27,11 @@ class RngStream:
     the same value whichever way it is read.
     """
 
-    __slots__ = ("name", "_gen")
+    __slots__ = ("_gen",)
 
     def __init__(self, master_seed: int, replication: int, name: str):
         if master_seed < 0 or replication < 0:
             raise ValueError("master_seed and replication must be non-negative")
-        self.name = name
         seq = np.random.SeedSequence([int(master_seed), int(replication), _name_key(name)])
         self._gen = np.random.Generator(np.random.PCG64(seq))
 

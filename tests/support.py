@@ -233,9 +233,7 @@ def shaped_like(default):
     """JSON values of the kind a field with this ``to_dict`` value takes,
     mixed with values of any kind."""
     if isinstance(default, list):
-        entry = st.fixed_dictionaries({}, optional={
-            key: shaped_like(value) for key, value in default[0].items()})
-        kind = st.lists(entry | json_values, max_size=3)
+        kind = st.lists(shaped_entries | json_values, max_size=3)
     elif isinstance(default, bool):
         kind = st.booleans()
     elif isinstance(default, str):
@@ -245,9 +243,9 @@ def shaped_like(default):
     return kind | json_values
 
 
-def mostly(usual, rest):
-    """``usual`` nine draws in ten, ``rest`` otherwise."""
-    return st.integers(0, 9).flatmap(lambda k: rest if k == 0 else usual)
+def mostly(usual, rest, one_in=10):
+    """``rest`` one draw in ``one_in``, ``usual`` otherwise."""
+    return st.integers(1, one_in).flatmap(lambda k: rest if k == 1 else usual)
 
 
 @st.composite
@@ -270,10 +268,26 @@ fresh_names = st.lists(printable_names, min_size=1, max_size=8, unique=True)
 service_names = mostly(fresh_names, st.builds(
     lambda names, name: [name, *names[1:]], fresh_names, reserved_names))
 
+# Service entries shaped like the default entry. Each key mostly takes a
+# value its field check passes, with no rule across keys kept: a name of any
+# text, appointments in either order. capacity_units is always given, since
+# left out it is 0, which is out of range and stops the entry's later rules.
+# Now and then an entry holds a key no service declares.
+fractions = st.floats(0.0, 1.0)
+entry_values = {"name": st.text(max_size=8) | reserved_names,
+                "capacity_units": st.integers(1, 500), "request_prob": fractions,
+                "appt_min": st.integers(1, 5), "appt_max": st.integers(1, 5)}
+entry_keys = {key: mostly(entry_values[key], shaped_like(value), one_in=20)
+              for key, value in ScenarioConfig().to_dict()["services"][0].items()}
+unknown_keys = st.dictionaries(st.text(max_size=4), json_values, min_size=1, max_size=1)
+shaped_entries = st.builds(
+    lambda extra, entry: extra | entry, mostly(st.just({}), unknown_keys),
+    st.fixed_dictionaries({"capacity_units": entry_keys["capacity_units"]}, optional={
+        key: value for key, value in entry_keys.items() if key != "capacity_units"}))
+
 # A usual value for every declared key. A config of these alone is valid
 # unless a service takes a reserved name, and expects at most about 4,400
 # arrivals per replication, so runs stay short.
-fractions = st.floats(0.0, 1.0)
 days = st.floats(0.0, 400.0)
 usual_values = {
     "bed_capacity": st.integers(1, 200),
@@ -291,12 +305,20 @@ usual_values = {
 }
 assert usual_values.keys() == ScenarioConfig().to_dict().keys()
 
+# Configs whose only fault can be their first service entry, a shaped one,
+# since a field error anywhere else stops the service rules.
+service_faults = st.fixed_dictionaries(
+    {"services": st.builds(lambda entry, services: [entry, *services[1:]],
+                           shaped_entries, usual_values["services"])},
+    optional={key: value for key, value in usual_values.items() if key != "services"})
+
 # Config objects over the declared keys. Each value is mostly a valid one;
-# the rest are shaped like the field's value or of any JSON kind, so about
-# six drawn configs in ten validate.
-config_dicts = st.fixed_dictionaries({}, optional={
+# the rest are shaped like the field's value or of any JSON kind. One draw
+# in eleven is a service fault instead. About 56 drawn configs in 100
+# validate, and about 10 stop at a service entry's name or appointment rule.
+config_dicts = mostly(st.fixed_dictionaries({}, optional={
     key: mostly(usual_values[key], shaped_like(value))
-    for key, value in ScenarioConfig().to_dict().items()})
+    for key, value in ScenarioConfig().to_dict().items()}), service_faults, one_in=11)
 
 
 # -- distribution checks (3-sigma Monte Carlo bands) -----------------------------

@@ -601,6 +601,16 @@ def test_ab_replications_tool_runs_on_this_tree():
     assert "median ratio" in done.stdout
 
 
+@pytest.mark.parametrize("option", ["--pairs", "--reps"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_ab_replications_tool_rejects_counts_below_one(option, value):
+    # Nothing to take a median of: a usage error, not a traceback.
+    done = _run_python("tools/ab_replications.py", ".", "--aa", option, value)
+    assert done.returncode == 2, done.stderr
+    assert f"argument {option}: must be at least 1, got {value}" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_two_worker_sweep_csv_does_not_depend_on_the_hash_seed(tmp_path):
     # Two workers pickle run_replication by name through the module entry;
     # no output byte may follow the interpreter's string hashing.

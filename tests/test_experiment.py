@@ -5,6 +5,7 @@ import copy
 import gc
 import json
 import math
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from sheltersim.experiment import (
 from sheltersim.kernel import ResourceWindowStats
 from sheltersim.model import BED_RESOURCE, DAYS_PER_YEAR, FLOW_LABELS
 from sheltersim.stats import _t_mass, _total, estimate, t_quantile
+from sheltersim.streams import RngStream
 from support import (
     POOL_COUNTS,
     arrival_log,
@@ -438,6 +440,33 @@ def test_a_finished_serial_run_keeps_no_population():
     # At the largest accepted arrival rate a population holds about 76 MB.
     run_scenario(mini_config(replications=2))
     assert experiment._draw.cache_info().currsize == 0
+
+
+def test_each_stream_is_built_once_per_draw_and_redraw_only_when_read(monkeypatch):
+    # The draw builds the three streams it reads, once per replication and
+    # not once per value of a capacity sweep; a run builds ``redraw`` only
+    # when its config redraws stays.
+    built = Counter()
+
+    class RecordingStream(RngStream):
+        __slots__ = ()
+
+        def __init__(self, master_seed, replication, name):
+            built[name] += 1
+            super().__init__(master_seed, replication, name)
+
+    monkeypatch.setattr(experiment, "RngStream", RecordingStream)
+    experiment._draw.cache_clear()
+    run_replication(mini_config(), 0)
+    assert built == {"arrivals": 1, "attributes": 1, "needs": 1}
+    built.clear()
+    experiment._draw.cache_clear()
+    run_replication(mini_config(redraw_los_on_bed_renege=True), 0)
+    assert built == {"arrivals": 1, "attributes": 1, "needs": 1, "redraw": 1}
+    built.clear()
+    experiment._draw.cache_clear()
+    sweep(mini_config(replications=2), "bed_capacity", [6, 8, 10])
+    assert built == {"arrivals": 2, "attributes": 2, "needs": 2}
 
 
 def test_parallel_jobs_match_serial():

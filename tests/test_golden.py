@@ -1,6 +1,7 @@
 """Golden digests: pin the bytes of a small fixed-seed simulate CSV and two
 sweep CSVs (a capacity and a float field), the full summary and printed tables behind them, the statistics and event traces of full-size replications, the drawn
-populations of two replications, and the first draws of every named stream.
+populations of two replications, and the first draws and raw bit-generator
+words of every named stream.
 
 These back the claim that identical config and seed give identical results on
 any platform. numpy does not promise that ``Generator`` streams stay the same
@@ -22,7 +23,7 @@ from sheltersim.cli import print_summary_table, write_scenario_csv, write_sweep_
 from sheltersim.config import ScenarioConfig
 from sheltersim.experiment import STREAM_NAMES, build_streams, run_replication, run_scenario, sweep
 from sheltersim.model import FLOW_LABELS, draw_population
-from sheltersim.streams import RngStream
+from sheltersim.streams import RngStream, _name_key
 from support import mini_config
 
 DIGESTS_NUMPY = "2.4.6"
@@ -65,6 +66,21 @@ FIRST_DRAWS = {
               0.2131066928565094, 0.9451761427435854],
     "redraw": [0.22750900245981642, 0.964137699124992, 0.9537143706927561,
                0.2846598006129103, 0.08130626035083999],
+}
+
+# First five raw 64-bit words of each stream's PCG64 bit generator for
+# (master seed 777, replication 0). A draw is its word's top 53 bits times
+# 2**-53, so a moved bit stream moves these, and a moved transform only
+# FIRST_DRAWS.
+FIRST_WORDS = {
+    "arrivals": [1269327822907352896, 11936251766801865500, 17729749435222723633,
+                 6920843620162622375, 8205673167213979691],
+    "attributes": [488061007781012526, 12663895698736204205, 2650915499249800415,
+                   69439757640272114, 11468788201506102275],
+    "needs": [16318507974343581233, 9629678831343688601, 10943864508176824556,
+              3931124623518657954, 17435422409766888371],
+    "redraw": [4196800342841191489, 17785201387573909950, 17592924915588233418,
+               5251046489979545715, 1499835776282344044],
 }
 
 
@@ -167,8 +183,18 @@ def test_population_digest():
 
 
 def test_first_draws_of_every_stream():
-    assert set(FIRST_DRAWS) == set(STREAM_NAMES)
-    for name in STREAM_NAMES:
+    assert set(FIRST_DRAWS) == {*STREAM_NAMES, "redraw"}
+    for name in FIRST_DRAWS:
         stream = RngStream(777, 0, name)
         draws = [stream.uniform() for _ in range(5)]
         assert draws == FIRST_DRAWS[name], _provenance(f"stream {name!r}")
+
+
+def test_first_raw_words_of_every_stream():
+    assert set(FIRST_WORDS) == set(FIRST_DRAWS)
+    for name, expected in FIRST_WORDS.items():
+        seq = np.random.SeedSequence([777, 0, _name_key(name)])
+        words = np.random.PCG64(seq).random_raw(5).tolist()
+        assert words == expected, _provenance(f"bit stream {name!r}")
+        assert [(word >> 11) * 2 ** -53 for word in words] == FIRST_DRAWS[name], \
+            _provenance(f"the draw transform of {name!r}")

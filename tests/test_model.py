@@ -18,6 +18,7 @@ from sheltersim.model import (
     draw_population,
 )
 from sheltersim.kernel import Simulator
+from sheltersim.streams import RngStream
 from support import mini_config, scripted_model, scripted_youth
 
 
@@ -207,12 +208,12 @@ def test_renege_to_stay_can_redraw_stay_length():
                             age="21-24", exits=False)
     sim, model, trace = scripted_model(
         1, [("case_management", 10)], [(0.0, holder), (1.0, stayer)],
-        redraw=_streams(99)["redraw"])
+        redraw=RngStream(99, 0, "redraw"))
     sim.run_until(300.0)
     # The stayer reads the redraw stream's first draw, through the
     # service-only row: far below 170 days.
     assert stayer.length_of_stay == sample_triangular(
-        LOS_SERVICE_ONLY, build_streams(99, 0)["redraw"].uniform())
+        LOS_SERVICE_ONLY, RngStream(99, 0, "redraw").uniform())
     assert 7.0 <= stayer.length_of_stay <= 30.0
     assert ("depart", 1.0 + stayer.length_of_stay, 2, "served_then_left") in trace
 

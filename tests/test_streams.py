@@ -1,11 +1,15 @@
 """Stream reproducibility: identical triples give identical sequences, the
 two ways of reading a stream share one draw order, and distinct names
-diverge."""
+diverge; and numpy is imported at load only by the modules that draw."""
 
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import sheltersim
 from sheltersim.streams import RngStream, _name_key
 
 
@@ -68,3 +72,31 @@ def test_name_key_is_stable():
     assert _name_key("arrivals") == expected
     assert _name_key("arrivals") == _name_key("arrivals")
     assert _name_key("arrivals") != _name_key("attributes")
+
+
+@pytest.mark.parametrize("master_seed, replication", [(-1, 0), (0, -1)])
+def test_negative_seed_or_replication_is_rejected(master_seed, replication):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        RngStream(master_seed, replication, "arrivals")
+
+
+def _load_time_imports(tree: ast.Module):
+    """The absolute imports a module runs as it loads: all outside a function."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+
+
+def test_only_the_modules_that_draw_import_numpy_at_load():
+    # Importing numpy costs about as much as the rest of a cold start; any
+    # other module reads it inside the function that needs it.
+    importers = {path.name for path in Path(sheltersim.__file__).parent.glob("*.py")
+                 if any(name.partition(".")[0] == "numpy" for name in _load_time_imports(
+                     ast.parse(path.read_text(encoding="utf-8"))))}
+    assert importers == {"streams.py", "distributions.py", "model.py"}

@@ -44,15 +44,23 @@ def time_replications(experiment, config, reps: int) -> tuple[float, list]:
     return time.perf_counter() - start, records
 
 
+def positive(text: str) -> int:
+    """An argparse type: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree_a", type=Path)
     parser.add_argument("tree_b", type=Path, nargs="?")
     parser.add_argument("--aa", action="store_true",
                         help="compare TREE_A with a second copy of itself")
-    parser.add_argument("--reps", type=int, default=6,
+    parser.add_argument("--reps", type=positive, default=6,
                         help="baseline replications per tree per pair (default 6)")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs to run (default 10)")
+    parser.add_argument("--pairs", type=positive, default=10, help="pairs to run (default 10)")
     args = parser.parse_args(argv)
     if args.aa == (args.tree_b is not None):
         parser.error("give either TREE_B or --aa")
